@@ -61,7 +61,10 @@ class EngineConfig:
     #: Figure 8 ablation switches.
     enable_cancellation: bool = True
     enable_continuous: bool = True
-    #: Head-node idle poll interval when drafting is paused.
+    #: Single-job head's idle wait when drafting is paused: how long the
+    #: PipeInfer head (``core/head.py``) waits for logits before decaying
+    #: its confidence cutoff again — the paper's cutoff-decay cadence.
+    #: The serving head never polls on it while requests are active.
     idle_poll: float = 2e-4
     #: KV cells per worker shard (functional mode sizing).
     n_cells: int = 2048
@@ -193,9 +196,11 @@ class BaseEngine(ABC):
         self.request_reports: List = []
         self._next_run_id = 0
         #: Fault plumbing — populated only by :mod:`repro.faults` runs.
-        #: ``injector`` stays None on fault-free simulations; the serving
-        #: head polls ``_fault_events`` (worker restarts awaiting recovery)
-        #: with a single falsy check per loop iteration.
+        #: ``injector`` stays None on fault-free simulations.
+        #: ``_fault_events`` holds worker restarts awaiting recovery; the
+        #: injector wakes a parked serving head when it posts one, and the
+        #: head drains the list with a single falsy check per loop
+        #: iteration.
         self.injector = None
         self._fault_events: List[Tuple[str, int]] = []
         #: Mid-flight cancellation inbox: request ids whose clients

@@ -162,7 +162,7 @@ class FaultInjector:
         for s in plan.stragglers:
             kernel.call_at(s.start, lambda r=s.rank: self.health.force(r, True))
             if s.end != float("inf"):
-                kernel.call_at(s.end, lambda r=s.rank: self.health.force(r, False))
+                kernel.call_at(s.end, lambda r=s.rank: self._straggler_end(r))
 
     def attach_engine(self, engine, head_rank: Optional[int] = None) -> None:
         """Learn the engine (after spawn) and schedule crash events."""
@@ -215,6 +215,18 @@ class FaultInjector:
     def _restart(self, rank: int) -> None:
         self.engine.respawn_worker(rank)
         self.stats.worker_restarts += 1
-        # The serving head polls this list and runs KV recovery
-        # (cancel in-flight runs, re-prefill verified tokens).
+        # The crash lost every in-flight run, so no logits will come to
+        # wake the serving head: post the event and wake it directly.  Its
+        # next step runs KV recovery (flush in-flight runs, re-prefill
+        # verified tokens).
         self.engine._fault_events.append(("worker_restart", rank))
+        self.engine.ep()._notify_watchers()
+
+    # -- straggler windows ----------------------------------------------------
+
+    def _straggler_end(self, rank: int) -> None:
+        # Leaving a forced window may reopen the health gate with no
+        # message on its way to the head: wake it so speculation resumes.
+        self.health.force(rank, False)
+        if self.engine is not None:
+            self.engine.ep()._notify_watchers()

@@ -421,25 +421,28 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
     # rather than per-iteration.
     done = kernel.future("serving-done")
 
-    def arrival_step(max_wait) -> None:
-        """Re-enter ``step`` on the next delivery, or after ``max_wait``.
+    def arrival_step(until) -> None:
+        """Re-enter ``step`` on the next wake-up, or at sim time ``until``.
 
-        The watcher may resolve mid-delivery-batch, so the re-entry is
-        deferred with an at-now event — the loop resumes only after the
+        Wake-ups are message deliveries plus the direct notifications of
+        routed requests, cancellations, worker restarts and straggler-window
+        ends.  The watcher may resolve mid-delivery-batch, so the re-entry
+        is deferred with an at-now event — the loop resumes only after the
         current delivery event has made its whole batch available, just
-        as a parked process resume would.
+        as a parked process resume would.  A timeout the watcher beat
+        fires later as a no-op (the kernel has no cancel).
         """
         fut = kernel.future(f"arrival@{ep.rank}")
         fut.detail = f"wait_for_arrival at rank {ep.rank}"
         fut.set_callback(lambda _v: kernel.call_at(kernel.now, step))
         ep._arrival_watchers.append(fut)
-        if max_wait is not None:
+        if until is not None:
 
             def timeout() -> None:
                 if not fut.resolved:
                     fut.resolve(False)
 
-            kernel.call_after(max_wait, timeout)
+            kernel.call_at(until, timeout)
 
     def after_draft(ready: List[RequestContext], proposed) -> None:
         dispatches = [
@@ -455,13 +458,18 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
             if not proposed[ctx.req_id]:
                 # Draft confidence halted this request's speculation.
                 ctx.cutoff.on_failed_idle()
-        if progressed or ep.iprobe(last_target, Tag.LOGITS) or engine._cancel_requests:
+        if (
+            progressed
+            or ep.iprobe(last_target, Tag.LOGITS)
+            or engine._cancel_requests
+            or engine._fault_events
+        ):
             # Re-enter the loop when the round dispatched — or when
-            # logits landed *while the draft round computed*: their
-            # delivery notified the arrival watchers before idle() could
-            # park one, so parking now would sleep through input that is
-            # already in the mailbox (a deadlock once no further traffic
-            # arrives to re-wake the head).
+            # logits, a cancel or a worker restart landed *while the
+            # draft round computed*: each notified the arrival watchers
+            # before idle() could park one, so parking now would sleep
+            # through input that is already waiting (a deadlock once no
+            # further traffic arrives to re-wake the head).
             step()
         else:
             idle()
@@ -469,21 +477,24 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
     def idle() -> None:
         # ---- priority 4: idle ---------------------------------------------
         if active:
-            if injector is not None:
-                # Health-EWMA decay is observed by polling, so the fault
-                # plane keeps the historical idle cadence.
-                arrival_step(cfg.idle_poll)
-                return
+            # Every active request has work in flight (priority 2
+            # guarantees tip coverage), so a message is certain to arrive
+            # — unless a crash lost it, and then the restart wakes the
+            # head.  Park for it; a timeout covers the instants a quiet
+            # pipeline must still act at: the next request arrival, and
+            # the health gate reopening while degraded.
+            until = None
             nxt = scheduler.next_arrival()
             if nxt is not None and nxt > kernel.now:
-                # Wake for the next request arrival even if the pipeline
-                # stays quiet until then.
-                arrival_step(nxt - kernel.now)
-            else:
-                # Every active request has work in flight (priority 2
-                # guarantees tip coverage), so a message is certain to
-                # arrive: park for it instead of polling on a timer.
-                arrival_step(None)
+                # The float ``call_after(nxt - now)`` would arm, which
+                # fault-free timings are pinned to (it can differ from
+                # ``nxt`` in the last bit).
+                until = kernel.now + (nxt - kernel.now)
+            if injector is not None:
+                reopen = injector.health.recovery_time(kernel.now)
+                if reopen is not None and (until is None or reopen < until):
+                    until = reopen
+            arrival_step(until)
             return
         nxt = scheduler.next_arrival()
         if nxt is not None and nxt > kernel.now:

@@ -12,23 +12,29 @@ seeds:
   at all (the differential guarantee: the injector costs nothing when
   idle, and installing nothing changes nothing);
 - a faulty run replays byte-identically from the same plan seed (the
-  determinism contract extends to faults).
+  determinism contract extends to faults);
+- the fault path is event-driven: a worker restart and a straggler
+  window's end wake the serving head directly, and a faulty run costs a
+  small multiple of the clean run's kernel events, not a poll per 0.2 ms.
 """
 
 import pytest
 
+import repro.serve.head as serve_head
 from repro import (
     EngineConfig,
     FaultPlan,
     GenerationJob,
     OracleBackend,
     PipeInferEngine,
+    Replica,
     Workload,
     cluster_c,
     get_pair,
     run_serving,
 )
-from repro.faults import LinkFault, StragglerSpec
+from repro.faults import CrashSpec, LinkFault, StragglerSpec
+from repro.serve.scheduler import RequestScheduler
 from repro.workloads import (
     SharedPrefixTemplate,
     cloud_edge_arrivals,
@@ -130,6 +136,74 @@ def test_straggler_window_degrades_and_recovers(pair, workload, baseline):
     assert rep.outputs() == baseline.outputs()
     assert rep.stats.degraded_windows >= 1
     assert rep.makespan > baseline.makespan  # the slowdown is real
+
+
+@pytest.fixture(scope="module")
+def lone(pair):
+    """One request, nothing else arriving: no traffic but its own runs."""
+    prompt = cloud_edge_prompts(1, pair.target_arch.vocab, length=32)[0]
+    return Workload(jobs=(GenerationJob(prompt=prompt, n_generate=16),))
+
+
+def test_restart_wakes_head_when_every_run_was_lost(pair, lone):
+    """The last stage dies while the lone request's prefill is in the
+    pipeline and the link is lossless: the crash swallows the only run,
+    so no logits will ever come back.  The restart itself must wake the
+    parked head, or the simulation deadlocks."""
+    clean = serve(pair, lone)
+    crash = CrashSpec(
+        N_CLOUD + N_EDGE - 1, at=clean.requests[0].prefill_end / 2, restart_delay=0.1
+    )
+    plan = FaultPlan(crashes=(crash,), rto=0.1)
+    rep = serve(pair, lone, plan)  # StuckSimulationError without the wake
+    assert rep.outputs() == clean.outputs()
+    assert rep.stats.worker_restarts == 1
+    assert rep.stats.reprefilled_tokens == len(lone.jobs[0].prompt)
+
+
+def test_straggler_end_wakes_head_to_speculate(pair, lone, monkeypatch):
+    """Degraded from t=0 until a window edge after the (slowed) prefill:
+    one degraded window, and speculation resumes as soon as the window
+    ends instead of when the next canonical logits happen to land."""
+    plan = FaultPlan(stragglers=(StragglerSpec(rank=1, factor=2.0),))
+    prefilled = serve(pair, lone, plan).requests[0].prefill_end
+    end = prefilled + 5.0
+
+    dispatched = []
+    real = serve_head.dispatch_spec_burst
+
+    def spy(engine, dispatches):
+        dispatched.append(engine.net.kernel.now)
+        return real(engine, dispatches)
+
+    monkeypatch.setattr(serve_head, "dispatch_spec_burst", spy)
+    plan = FaultPlan(stragglers=(StragglerSpec(rank=1, factor=2.0, end=end),))
+    rep = serve(pair, lone, plan)
+    assert rep.outputs() == serve(pair, lone).outputs()
+    assert rep.stats.degraded_windows == 1
+    assert dispatched and dispatched[0] > end
+    # One draft step (~80 ms here) after the wake; the next canonical
+    # logits would only have woken the head ~2 s later.
+    assert dispatched[0] < end + 0.5
+
+
+def test_faulty_run_costs_a_small_multiple_of_clean_events(pair, workload):
+    """Deterministic cost pin: loss, jitter and a crash add retransmits,
+    acks and a re-prefill — not a timer per idle poll."""
+
+    def kernel_events(plan):
+        backend = OracleBackend(pair, head_node=cloud_edge_cluster().nodes[0])
+        replica = Replica(
+            0, PipeInferEngine, backend, cloud_edge_cluster(N_CLOUD, N_EDGE),
+            fault_plan=plan,
+        )
+        replica.start(RequestScheduler(workload))
+        replica.drain()
+        return replica.kernel.n_events
+
+    clean = kernel_events(None)
+    for seed in (1, 2, 3):
+        assert kernel_events(crash_plan(seed)) <= 3 * clean
 
 
 def test_warm_recovery_through_prefix_cache(pair):

@@ -1,6 +1,9 @@
 """Fault plane units: plans, faulty links, health monitor, injector hooks."""
 
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster.interconnect import LinkSpec
 from repro.cluster.kernel import SimKernel
@@ -222,3 +225,96 @@ def test_health_force_is_refcounted():
     assert h.degraded(0.0)  # still one window active
     h.force(3, False)
     assert not h.degraded(0.0)
+
+
+def _windows_counted(query_times):
+    """Replay one fault timeline, querying ``degraded`` at ``query_times``.
+
+    tau=0.05, hi=1.5, lo=0.5: a weight-2 fault stays hot for
+    0.05·ln(4) ≈ 69 ms.  The timeline holds four degraded windows:
+    one fault; two overlapping faults on different ranks; a straggler
+    window with a fault inside it that outlives the window's end; and two
+    sub-``hi`` faults that only cross ``hi`` together.
+    """
+    k = SimKernel()
+    stats = RunStats()
+    h = HealthMonitor(k, stats, tau=0.05, hi=1.5, lo=0.5)
+    for t, rank, weight in (
+        (0.10, 1, 2.0),
+        (0.30, 2, 2.0),
+        (0.32, 1, 2.0),
+        (0.65, 1, 2.0),
+        (1.00, 2, 1.0),
+        (1.01, 2, 1.0),
+    ):
+        k.call_at(t, lambda t=t, r=rank, w=weight: h.record_fault(t, r, w))
+    k.call_at(0.60, lambda: h.force(3, True))
+    k.call_at(0.70, lambda: h.force(3, False))
+    for t in query_times:
+        k.call_at(t, lambda t=t: h.degraded(t))
+    k.run()
+    return stats.degraded_windows
+
+
+def test_degraded_windows_do_not_depend_on_query_cadence():
+    every_ms = [i * 1e-3 for i in range(1200)]
+    once_per_window = [0.12, 0.33, 0.66, 1.02]
+    assert _windows_counted(every_ms) == 4
+    assert _windows_counted(once_per_window) == 4
+    assert _windows_counted([]) == 4  # counted on signals, never on queries
+
+
+def test_recovery_time_is_none_when_healthy_or_forced():
+    k = SimKernel()
+    h = HealthMonitor(k, RunStats(), tau=0.1, hi=1.5, lo=0.5)
+    assert h.recovery_time(0.0) is None
+    h.force(3, True)
+    h.record_fault(0.0, rank=1, weight=4.0)
+    assert h.recovery_time(0.0) is None  # the window's end wakes the head
+    h.force(3, False)
+    t = h.recovery_time(0.0)
+    assert t is not None and t > 0.0
+    assert not h.degraded(t)
+    assert h.recovery_time(t) is None
+
+
+histories = st.lists(
+    st.tuples(
+        st.floats(0.0, 1.0),  # gap since the previous signal
+        st.integers(0, 3),  # rank
+        st.floats(0.1, 8.0),  # weight
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(
+    history=histories,
+    tau=st.floats(1e-3, 10.0),
+    lo=st.floats(0.05, 2.0),
+    spread=st.floats(1.01, 10.0),
+    idle=st.floats(0.0, 3.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_recovery_time_reopens_the_gate_strictly_later(history, tau, lo, spread, idle):
+    """Absent new signals, the gate is open at the returned instant, that
+    instant is strictly after ``now`` (no zero-delay re-wakes), and it is
+    the closed-form ``last + tau·ln(v/lo)`` up to rounding."""
+    k = SimKernel()
+    h = HealthMonitor(k, RunStats(), tau=tau, hi=lo * spread, lo=lo)
+    now = 0.0
+    for gap, rank, weight in history:
+        now += gap
+        h.record_fault(now, rank, weight)
+    now += idle
+    t = h.recovery_time(now)
+    if not h.degraded(now):
+        assert t is None
+        return
+    assert t is not None and t > now
+    closed = max(
+        h._last[r] + tau * math.log(h._value[r] / lo) for r in h._hot
+    )
+    assert t - max(closed, now) <= 1e-9 * max(1.0, t)
+    assert not h.degraded(t)
