@@ -35,7 +35,7 @@ attention kernel.  Three scenarios:
   reporting the affinity run's wall throughput as
   ``cluster_tokens_per_sec``;
 - ``serving_stream``: an SLO-tagged open-loop workload served through
-  the streaming front-end (``stream_serving``), asserting the streamed
+  the streaming front-end (``ServingSession``), asserting the streamed
   run is byte-identical to the batch path and reporting good tokens
   (within TTFT/ITL SLO) per wall-second as
   ``stream_goodput_tokens_per_sec``, with the deterministic
@@ -600,9 +600,10 @@ def bench_serving_cluster(smoke: bool):
 def bench_serving_stream(smoke: bool):
     """Streaming front-end overhead + goodput (PR 9's token streams).
 
-    Runs an SLO-tagged open-loop workload through ``stream_serving`` —
-    the batch serving path with a :class:`repro.api.StreamHub` observing
-    every acceptance — and asserts the streamed run is *byte-identical*
+    Submits an SLO-tagged open-loop workload to a one-replica
+    :class:`repro.api.ServingSession` — the serving driver with a
+    :class:`repro.api.StreamHub` observing every acceptance — and asserts
+    the streamed run is *byte-identical*
     to a plain ``run_serving`` of the same workload (same outputs, same
     goodput: streams observe, they never steer).  Reports the wall-clock
     rate of *good* tokens (delivered within their TTFT/ITL SLO) as
@@ -614,7 +615,8 @@ def bench_serving_stream(smoke: bool):
     ``WIDTH_FLOORS`` so an SLO-accounting or scheduler regression fails
     the gate rather than drifting silently.
     """
-    from repro.api import stream_serving
+    from repro.api import ServingSession
+    from repro.serve import ClusterConfig, EngineCluster
     from repro.serve.run import make_workload
     from repro.workloads import poisson_arrivals
 
@@ -645,7 +647,18 @@ def bench_serving_stream(smoke: bool):
     batch = run_serving(PipeInferEngine, backend, cluster, workload)
     backend, cluster = parts()
     t0 = time.perf_counter()
-    report, hub = stream_serving(PipeInferEngine, backend, cluster, workload)
+    session = ServingSession(
+        EngineCluster(
+            PipeInferEngine, [backend], [cluster],
+            cluster_config=ClusterConfig(n_replicas=1),
+        )
+    )
+    for req in workload.requests():
+        session.submit(
+            req.job, arrival=req.arrival,
+            ttft_slo=req.ttft_slo, itl_slo=req.itl_slo,
+        )
+    report, hub = session.report().per_replica[0], session.hub
     wall = time.perf_counter() - t0
     assert hub.outputs() == batch.outputs() == report.outputs(), (
         "streamed tokens diverged from the batch serving path — streams "

@@ -26,7 +26,6 @@ from repro.api import (
     ServingSession,
     StreamHub,
     TokenStream,
-    stream_serving,
 )
 from repro.cluster import (
     Cluster,
@@ -85,7 +84,6 @@ __all__ = [
     "ServingSession",
     "StreamHub",
     "TokenStream",
-    "stream_serving",
     "Cluster",
     "cluster_a",
     "cluster_b",

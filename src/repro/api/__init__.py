@@ -5,16 +5,14 @@ the discrete-event serving core:
 
 - :class:`TokenStream` / :class:`StreamHub` — per-request streams fed by
   the serving head at the sim instant verification accepts each token;
-- :func:`stream_serving` — the batch ``run_serving`` path with streams
-  recorded (byte-identical report);
 - :class:`ServingSession` — incremental submit/step/cancel driving of a
-  multi-replica cluster;
+  serving cluster (submitting a whole workload and draining reproduces
+  the batch ``run_serving`` report, streams recorded);
 - :class:`AsyncFrontend` — an in-process async client multiplexing
   concurrent connections over one cluster, with disconnect-cancel.
 """
 
 from repro.api.frontend import AsyncFrontend
-from repro.api.run import stream_serving
 from repro.api.session import ServingSession
 from repro.api.stream import StreamHub, TokenStream
 
@@ -23,5 +21,4 @@ __all__ = [
     "ServingSession",
     "StreamHub",
     "TokenStream",
-    "stream_serving",
 ]

@@ -1,8 +1,8 @@
 """Incremental driving of a serving cluster: submit / step / cancel.
 
 :class:`ServingSession` wraps an :class:`~repro.serve.cluster.EngineCluster`
-in push mode and replaces "serve the whole workload, hand back one
-report" with an *incremental* surface:
+— the one serving driver — and replaces "serve the whole workload, hand
+back one report" with an *incremental* surface:
 
 - :meth:`submit` routes one request now (or at a given future arrival)
   and returns its live :class:`~repro.api.stream.TokenStream`;
@@ -36,7 +36,7 @@ class ServingSession:
 
     Args:
         cluster: a fresh (not yet opened) :class:`EngineCluster`.
-        max_active: per-replica concurrency cap for the feeds.
+        max_active: per-replica concurrency cap.
     """
 
     def __init__(
@@ -130,9 +130,8 @@ class ServingSession:
             return False
         version = self.hub.version
         t = max(nxt, self._clock)
-        for rep in self._replicas:
-            rep.advance_to(t)
-        self._clock = max(self._clock, t)
+        self.cluster.advance_to(t)
+        self._clock = t
         return self.hub.version != version
 
     def advance_until(
@@ -155,8 +154,7 @@ class ServingSession:
                 if nxt is None or nxt > target:
                     # Nothing left to execute before the target instant;
                     # settle every clock at it.
-                    for rep in self._replicas:
-                        rep.advance_to(target)
+                    self.cluster.advance_to(target)
                     self._clock = max(self._clock, target)
                     return True
                 if not self.step() and self._next_event_time() is None:

@@ -77,12 +77,6 @@ class PrefixCacheManager:
             when pinned entries leave no room.
         min_match_tokens: prefix matches (and donated spans) shorter than
             this are ignored — tiny copies are not worth a transaction.
-        promote_on_second_hit: donate a span only once it has been
-            *offered* twice — the promoted span is the longest head of the
-            prompt that a previous donation attempt also carried, so
-            shared prefixes still enter the tree while one-shot unique
-            tails never do, keeping the tree lean under unique traffic.
-            Never changes served tokens, only cache contents.
     """
 
     def __init__(
@@ -90,29 +84,21 @@ class PrefixCacheManager:
         pool: SequencePool,
         max_cells: int,
         min_match_tokens: int,
-        promote_on_second_hit: bool = False,
     ) -> None:
         self.pool = pool
         self.max_cells = max_cells
         self.min_match_tokens = min_match_tokens
-        self.promote_on_second_hit = promote_on_second_hit
         self.tree = RadixTree()
         #: Cells currently held by retained tree sequences.
         self.retained_cells = 0
         #: req_id -> pinned match (refs released when the request ends).
         self._active: Dict[int, PrefixMatch] = {}
-        #: Shadow trie of every prefix ever *offered* for donation
-        #: (second-hit promotion): nested ``token -> child`` dicts.  Only
-        #: the part of a new offer that extends a previously offered path
-        #: has been "seen twice" and may enter the real tree.
-        self._seen_trie: Dict[int, dict] = {}
         self.stats = {
             "requests_hit": 0,
             "requests_missed": 0,
             "hit_tokens": 0,
             "donated_nodes": 0,
             "donated_tokens": 0,
-            "deferred_donations": 0,
             "splits": 0,
             "evictions": 0,
             "evicted_cells": 0,
@@ -212,24 +198,6 @@ class PrefixCacheManager:
 
     # -- donation ------------------------------------------------------------
 
-    def _seen_prefix_len(self, prompt: Sequence[int]) -> int:
-        """Longest head of ``prompt`` carried by a previous donation offer."""
-        node = self._seen_trie
-        n = 0
-        for tok in prompt:
-            nxt = node.get(tok)
-            if nxt is None:
-                break
-            node = nxt
-            n += 1
-        return n
-
-    def _remember(self, prompt: Sequence[int]) -> None:
-        """Record ``prompt`` in the shadow trie of offered donation spans."""
-        node = self._seen_trie
-        for tok in prompt:
-            node = node.setdefault(tok, {})
-
     def ops_for_donate(
         self, prompt: Sequence[int], canonical_seq: int, now: float
     ) -> List[CacheOp]:
@@ -253,21 +221,6 @@ class PrefixCacheManager:
         span = len(prompt) - m
         if span < self.min_match_tokens:
             return ops
-        if self.promote_on_second_hit:
-            seen = self._seen_prefix_len(prompt)
-            self._remember(prompt)
-            if seen - m < self.min_match_tokens:
-                # Nothing (or only a sliver) beyond the current tree match
-                # has been offered before: keep the tree untouched.  The
-                # cells release with the canonical partition as if the
-                # cache were off.
-                self.stats["deferred_donations"] += 1
-                return ops
-            if seen < len(prompt):
-                # Promote only the twice-offered head; the unique tail
-                # never enters the tree.
-                prompt = prompt[:seen]
-                span = seen - m
         # The walk's own path is off-limits to the evictions this
         # donation triggers: the new node attaches under its last entry.
         protect = {node for node, _ in path}

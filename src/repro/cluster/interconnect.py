@@ -25,14 +25,13 @@ per message.  Within one instant and one link, callbacks fire in transmit
 order — the same order the per-message events fired in — so per-stream
 delivery order is unchanged.
 
-Under the batched inbox hand-off (``EngineConfig.batched_inbox``, default
-on) a pending entry is an ``(endpoint, message)`` pair instead of a
-per-message closure: the drain groups maximal runs of message entries and
-hands each run to the destination endpoint in one
-:meth:`~repro.comm.mpi_sim.Endpoint._deliver_batch` call.  Raw callback
-entries (reliability-layer acks, retransmits, benchmarks) interleave with
-those runs in transmit order, so nothing is reordered — a batch is flushed
-before any callback queued after it fires.
+A pending entry is either an ``(endpoint, message)`` pair (network
+traffic) or a raw callback (reliability-layer acks, retransmits,
+benchmarks).  The drain groups maximal runs of message entries and hands
+each run to the destination endpoint in one
+:meth:`~repro.comm.mpi_sim.Endpoint._deliver_batch` call; raw callbacks
+interleave with those runs in transmit order, so nothing is reordered — a
+batch is flushed before any callback queued after it fires.
 """
 
 from __future__ import annotations

@@ -375,16 +375,10 @@ class Network:
         #: divides the kernel's resume counter by this to gate the
         #: resumes-per-delivered-message ratio.
         self.n_delivered = 0
-        #: Batched inbox hand-off: when True (default), link drains hand
-        #: same-instant runs to ``Endpoint._deliver_batch`` as
-        #: ``(endpoint, msg)`` entries; when False, every message carries a
-        #: per-message delivery closure (the ablation baseline).  Both modes
-        #: run the identical per-message acceptance logic.
-        self.batched_inbox = True
         #: Optional consumption-order trace: when set to a list, every
         #: message an application-level receive consumes appends
-        #: ``(rank, src, tag, seq)``.  Used by the batched-inbox
-        #: equivalence suite to prove on/off consumption-order identity.
+        #: ``(rank, src, tag, seq)``.  The consumption-order golden suite
+        #: pins this sequence.
         self.trace: Optional[List[Tuple[int, int, int, int]]] = None
 
     def endpoint(self, rank: int) -> Endpoint:
@@ -410,12 +404,7 @@ class Network:
         self.n_sent += 1
         self.bytes_sent += nbytes
         link = self.cluster.link(src, dst)
-        if self.batched_inbox:
-            link.transmit(nbytes, (self.endpoints[dst], msg), eager_hint=eager)
-        else:
-            link.transmit(
-                nbytes, lambda: self.endpoints[dst]._deliver(msg), eager_hint=eager
-            )
+        link.transmit(nbytes, (self.endpoints[dst], msg), eager_hint=eager)
         if self._reliable is not None:
             self._reliable.on_send(msg, nbytes, eager)
         return msg

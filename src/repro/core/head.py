@@ -524,24 +524,17 @@ def dispatch_burst(engine, entries) -> List[int]:
 
     ``entries`` is an ordered list of ``(ctx, rec, states, ops)``: each
     run's record, its per-slot oracle states, and the cache ops that must
-    precede it (context materialization — Section IV-C3).  Under
-    ``burst_dispatch`` the whole list travels as FUSED transactions of at
-    most ``max_fused_runs`` runs each, every run's ops immediately before
-    it, so the first stage's fusion window sees the burst at once instead
-    of dribbling one run per head iteration; otherwise each run goes out
-    as the historical singleton CACHE_OP + DECODE pair.  Either way the
-    per-request FIFOs and the returned req-id order match the entry
-    order, which MPI non-overtaking turns into the logits return order.
+    precede it (context materialization — Section IV-C3).  The whole list
+    travels as FUSED transactions of at most ``max_fused_runs`` runs each,
+    every run's ops immediately before it, so the first stage's fusion
+    window sees the burst at once instead of dribbling one run per head
+    iteration.  The per-request FIFOs and the returned req-id order match
+    the entry order, which MPI non-overtaking turns into the logits
+    return order.
     """
     cfg = engine.config
     first_target = engine.target_ranks()[0]
     rids: List[int] = []
-    if not cfg.burst_dispatch:
-        for ctx, rec, states, ops in entries:
-            engine.send_cache_ops(first_target, ops)
-            send_run(engine, ctx, rec, states)
-            rids.append(ctx.req_id)
-        return rids
     items: List = []
     n_runs = 0
     for ctx, rec, states, ops in entries:

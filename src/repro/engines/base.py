@@ -64,7 +64,7 @@ class EngineConfig:
     #: Single-job head's idle wait when drafting is paused: how long the
     #: PipeInfer head (``core/head.py``) waits for logits before decaying
     #: its confidence cutoff again — the paper's cutoff-decay cadence.
-    #: The serving head never polls on it while requests are active.
+    #: The serving head never polls on it.
     idle_poll: float = 2e-4
     #: KV cells per worker shard (functional mode sizing).
     n_cells: int = 2048
@@ -75,11 +75,6 @@ class EngineConfig:
     #: round (1 restores sequential one-request-at-a-time drafting; the
     #: differential suite pins both to identical served tokens).
     max_draft_batch: int = 8
-    #: Coalesce the head's run dispatches (cache ops + decodes) into one
-    #: FUSED transaction burst per hop so worker fusion windows see a
-    #: whole round at once.  False restores singleton CACHE_OP + DECODE
-    #: transactions per run (ablation / differential testing).
-    burst_dispatch: bool = True
     #: Serving admission policy: when True, admit against the workers'
     #: *live* cells-in-use (``KVCache.n_used``, O(1)) instead of the sum
     #: of every active request's static worst-case demand.  Optimistic:
@@ -99,18 +94,6 @@ class EngineConfig:
     #: Shortest prefix match (and donated span) worth a cache-op
     #: transaction; shorter matches prefill from scratch.
     min_match_tokens: int = 8
-    #: Second-hit promotion: donate a prompt's span into the radix tree
-    #: only after the same full prompt has been *seen twice*, keeping the
-    #: tree lean under one-shot traffic.  Off by default; turning it on
-    #: never changes served tokens (donation affects timing/placement
-    #: only — greedy decoding is cache-invariant).
-    prefix_promote_on_second_hit: bool = False
-    #: Batched inbox hand-off: coalesced link drains hand each same-instant
-    #: delivery run to the destination endpoint in one call, scheduling at
-    #: most one resume per parked receiver.  False restores per-message
-    #: delivery closures (the ablation baseline); per-message acceptance
-    #: semantics are identical in both modes.
-    batched_inbox: bool = True
 
     def __post_init__(self) -> None:
         if self.microbatch_size < 1:
@@ -189,7 +172,6 @@ class BaseEngine(ABC):
         self.net = network
         self.cluster = network.cluster
         self.config = config
-        network.batched_inbox = config.batched_inbox
         self.metrics = metrics
         self.generated_tokens: List[int] = []
         #: Per-request reports, populated by the serving heads.
@@ -322,9 +304,10 @@ class BaseEngine(ABC):
     def spawn_serving(self, kernel: SimKernel, scheduler):
         """Spawn the workers plus a long-lived request-serving head.
 
-        ``scheduler`` is a :class:`repro.serve.scheduler.RequestScheduler`
-        feeding a stream of jobs; the pipeline stays up until every request
-        completes.
+        ``scheduler`` is the replica's
+        :class:`repro.serve.scheduler.RequestScheduler`, into which the
+        cluster driver pushes requests one at a time; the pipeline stays up
+        until the queue is closed and every request has completed.
         """
         procs = self._spawn_workers(kernel)
         procs.append(kernel.spawn(self._serve_head(scheduler), name="serve-head"))

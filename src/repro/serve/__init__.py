@@ -1,17 +1,18 @@
-"""Multi-request serving: scheduler, serving heads, and the run harness.
+"""Multi-request serving: scheduler, serving heads, and the one driver.
 
 The serving layer turns the single-job simulator into a request-level
-system: a :class:`Workload` (jobs + arrival trace) is admitted FCFS by a
-:class:`RequestScheduler` into one long-lived pipeline, and the engine's
-serving head multiplexes work across the active requests.  See
-:mod:`repro.serve.head` for the two head disciplines and
-:func:`run_serving` for the single-pipeline entry point.
+system.  Requests are pushed one at a time into a
+:class:`RequestScheduler` — the FCFS admission queue of one long-lived
+pipeline — and the engine's serving head multiplexes work across the
+active requests.  See :mod:`repro.serve.head` for the two head
+disciplines.
 
-Above the single pipeline sits the cluster layer
-(:mod:`repro.serve.cluster`): a :class:`Replica` bundles one pipeline
-behind a uniform admit/drain/report surface, and an
-:class:`EngineCluster` runs K of them behind a prefix/session-aware
-:class:`Router` — see ``docs/serving-cluster.md``.
+One driver feeds every workload: :class:`EngineCluster`
+(:mod:`repro.serve.cluster`) runs K :class:`Replica` pipelines behind a
+prefix/session-aware :class:`Router` and pushes each request into the
+chosen replica's queue — see ``docs/serving-cluster.md``.
+:func:`run_serving` is its single-pipeline (K=1) case, and
+:class:`repro.api.ServingSession` drives it request by request.
 """
 
 from repro.serve.cluster import (
@@ -23,17 +24,11 @@ from repro.serve.cluster import (
     run_cluster,
 )
 from repro.serve.run import make_workload, run_serving
-from repro.serve.scheduler import (
-    ReplicaFeed,
-    Request,
-    RequestScheduler,
-    Workload,
-)
+from repro.serve.scheduler import Request, RequestScheduler, Workload
 
 __all__ = [
     "Request",
     "RequestScheduler",
-    "ReplicaFeed",
     "Workload",
     "run_serving",
     "make_workload",

@@ -8,27 +8,26 @@ request, which one gets it.  This module provides that layer:
   :class:`~repro.cluster.kernel.SimKernel`, network, engine, backend,
   KV pool, prefix cache, and fault plan) with a uniform
   ``admit`` / ``advance_to`` / ``drain`` / ``report`` surface.
-  ``run_serving`` is a thin K=1 wrapper over it.
 - :class:`Router` — deterministic request→replica assignment with
   pluggable policies (:class:`RoutingPolicy`), an optional session
   overlay that pins every turn of a conversation to one replica, a
   queue-depth backpressure spill, and tail-stealing migration.
-- :class:`EngineCluster` — instantiates K replicas, routes a
-  :class:`~repro.serve.scheduler.Workload`'s FCFS stream across them,
-  and merges the results into a :class:`~repro.metrics.ClusterReport`.
+- :class:`EngineCluster` — the one serving driver: instantiates K
+  replicas, routes requests across them, and merges the results into a
+  :class:`~repro.metrics.ClusterReport`.  ``run_serving`` is its K=1
+  case.
 
 Replica kernels are independent simulations sharing one *absolute*
-timeline.  Static policies (random, round-robin, prompt-hash — with no
-queue cap) never consult live replica state, so the cluster partitions
-the stream up front and runs each replica to completion on its own; the
-K=1 degenerate case is exactly the old single-pipeline ``run_serving``
-path, byte for byte.  Dynamic policies (least-loaded, prefix-affinity,
-any queue cap, migration) need live queue depths and radix trees at
-each arrival, so the cluster runs replicas in lockstep: every kernel is
-advanced to the arrival instant, the router inspects the replicas, and
-the request is pushed into the winner's :class:`ReplicaFeed`.
-Everything the router consults is deterministic, so routed placements —
-and therefore generated tokens — are reproducible for a fixed seed.
+timeline, driven in lockstep through four calls: ``open`` the replicas,
+``submit`` each request (every kernel is advanced to the arrival
+instant, the router inspects the replicas, and the request is pushed
+into the winner's :class:`~repro.serve.scheduler.RequestScheduler`),
+``advance_to`` a sim time, and ``close_and_drain``.  ``serve`` composes
+them over a whole :class:`~repro.serve.scheduler.Workload`; the
+streaming front-end (:class:`repro.api.session.ServingSession`) calls
+them request by request.  Everything the router consults is
+deterministic, so routed placements — and therefore generated tokens —
+are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -44,12 +43,7 @@ from repro.engines.backend import Backend
 from repro.engines.base import EngineConfig
 from repro.metrics.collectors import MetricsCollector, RunStats
 from repro.metrics.report import ClusterReport, ServingReport
-from repro.serve.scheduler import (
-    ReplicaFeed,
-    Request,
-    RequestScheduler,
-    Workload,
-)
+from repro.serve.scheduler import Request, RequestScheduler, Workload
 from repro.util.rng import hash_tokens, unit_float
 
 #: Domain-separation salts for the router's hash draws (arbitrary, fixed).
@@ -60,10 +54,10 @@ _PROMPT_SALT = 223
 class RoutingPolicy(str, Enum):
     """How the router picks a replica for each request.
 
-    ``RANDOM``, ``ROUND_ROBIN``, and ``PROMPT_HASH`` are *static*: the
-    choice depends only on the request and the seed.  ``LEAST_LOADED``
-    and ``PREFIX_AFFINITY`` are *dynamic*: they consult live replica
-    state (queue depths, radix trees) at the arrival instant.
+    ``RANDOM``, ``ROUND_ROBIN``, and ``PROMPT_HASH`` depend only on the
+    request and the seed.  ``LEAST_LOADED`` and ``PREFIX_AFFINITY``
+    consult live replica state (queue depths, radix trees) at the
+    arrival instant.
     """
 
     RANDOM = "random"
@@ -71,12 +65,6 @@ class RoutingPolicy(str, Enum):
     PROMPT_HASH = "prompt_hash"
     LEAST_LOADED = "least_loaded"
     PREFIX_AFFINITY = "prefix_affinity"
-
-
-#: Policies that consult live replica state and force the lockstep path.
-_DYNAMIC_POLICIES = frozenset(
-    {RoutingPolicy.LEAST_LOADED, RoutingPolicy.PREFIX_AFFINITY}
-)
 
 
 @dataclass(frozen=True)
@@ -147,24 +135,14 @@ class ClusterConfig:
                 f"{self.deadline_service_est}"
             )
 
-    @property
-    def dynamic(self) -> bool:
-        """Whether routing must observe live replica state (lockstep)."""
-        return (
-            self.routing in _DYNAMIC_POLICIES
-            or self.queue_cap is not None
-            or self.migration
-        )
-
 
 class Replica:
     """One complete serving pipeline with a uniform cluster surface.
 
     Owns a fresh :class:`SimKernel`, :class:`Network` (binding its own
-    :class:`Cluster`), metrics collector, optional fault injector, and
-    the engine itself — construction order matches the historical
-    ``run_serving`` body exactly, so a single replica fed the whole
-    workload reproduces it byte for byte.
+    :class:`Cluster`), metrics collector, optional fault injector, the
+    engine itself, and — once started — the serving head's
+    :class:`RequestScheduler` queue.
     """
 
     def __init__(
@@ -175,7 +153,6 @@ class Replica:
         cluster: Cluster,
         config: Optional[EngineConfig] = None,
         fault_plan=None,
-        trace: Optional[list] = None,
     ) -> None:
         self.replica_id = replica_id
         self.config = config or EngineConfig()
@@ -183,8 +160,6 @@ class Replica:
         self.backend = backend
         self.kernel = SimKernel()
         self.network = Network(self.kernel, cluster)
-        if trace is not None:
-            self.network.trace = trace
         self.metrics = MetricsCollector()
         self.injector = None
         if fault_plan is not None and not fault_plan.is_empty():
@@ -200,28 +175,20 @@ class Replica:
         self.scheduler: Optional[RequestScheduler] = None
         self._procs: list = []
 
-    def start(self, scheduler: RequestScheduler) -> None:
-        """Spawn the serving head + workers against ``scheduler``."""
+    def start(self, max_active: Optional[int] = None) -> None:
+        """Spawn the serving head + workers against an empty open queue."""
         if self.scheduler is not None:
             raise RuntimeError(f"replica {self.replica_id} already started")
-        self.scheduler = scheduler
-        self._procs = self.engine.spawn_serving(self.kernel, scheduler)
+        self.scheduler = RequestScheduler(max_active=max_active)
+        self._procs = self.engine.spawn_serving(self.kernel, self.scheduler)
         if self.injector is not None:
             self.injector.attach_engine(self.engine)
 
     # -- lockstep surface --------------------------------------------------
 
-    @property
-    def feed(self) -> ReplicaFeed:
-        if not isinstance(self.scheduler, ReplicaFeed):
-            raise TypeError(
-                f"replica {self.replica_id} runs a static scheduler"
-            )
-        return self.scheduler
-
     def admit(self, req: Request, migrated: bool = False) -> None:
         """Route ``req`` here: enqueue it and wake a parked head."""
-        self.feed.push(req, migrated=migrated)
+        self.scheduler.push(req, migrated=migrated)
         # Heads idling on an empty open stream park on the endpoint's
         # arrival watchers (the same futures message delivery resolves);
         # resolve them so the head re-checks the queue.
@@ -232,10 +199,15 @@ class Replica:
         self.kernel.run(until=t)
 
     def drain(self) -> None:
-        """Close an open feed and run the pipeline to completion."""
-        if isinstance(self.scheduler, ReplicaFeed) and not self.scheduler.closed:
+        """Close the queue and run the pipeline to completion."""
+        if not self.scheduler.closed:
             self.scheduler.close()
-            self.engine.ep()._notify_watchers()
+            if self.scheduler.all_done():
+                # Only a head with nothing left to serve is parked waiting
+                # for pushes; a busy head sees the closed queue when its
+                # last request finishes, and waking it here would add a
+                # spurious scheduling round.
+                self.engine.ep()._notify_watchers()
         run_to_completion(self.kernel, self._procs)
 
     # -- router load/affinity signals --------------------------------------
@@ -243,12 +215,12 @@ class Replica:
     @property
     def depth(self) -> int:
         """Requests in the system (queued or active, not completed)."""
-        return self.feed.depth
+        return self.scheduler.depth
 
     @property
     def n_waiting(self) -> int:
         """Requests routed here but not yet admitted."""
-        return self.feed.n_waiting
+        return self.scheduler.n_waiting
 
     def prefix_match_tokens(self, prompt: Sequence[int]) -> int:
         """Longest warm radix-tree prefix of ``prompt`` on this replica.
@@ -289,19 +261,6 @@ class Replica:
             getattr(self.engine, "prefix_cache_stats", {})
         )
         return report
-
-
-class _ColdReplica:
-    """Stand-in the static routing path hands the router: a replica that
-    is never loaded and never warm, so static policies (which must not
-    consult state anyway) route identically whether replicas exist yet."""
-
-    depth = 0
-    n_waiting = 0
-
-    @staticmethod
-    def prefix_match_tokens(prompt) -> int:
-        return 0
 
 
 class Router:
@@ -399,7 +358,7 @@ class Router:
     def rebalance(self, replicas: Sequence[Replica]) -> None:
         """Steal queued tail requests from over-deep replicas.
 
-        Runs at each arrival sync point (lockstep path only).  Moves the
+        Runs at each arrival sync point.  Moves the
         most recently routed, not-yet-admitted request from the replica
         whose *waiting* queue exceeds the cap to the least-loaded
         replica, while the latter has headroom.  Deterministic: deepest
@@ -421,7 +380,7 @@ class Router:
             )
             if taker is donor or taker.depth >= cap:
                 return
-            req = donor.feed.steal_tail()
+            req = donor.scheduler.steal_tail()
             if req is None:
                 return
             taker.admit(req, migrated=True)
@@ -510,85 +469,65 @@ class EngineCluster:
                 )
             self._fault_plans = list(fault_plans)
         self.router = Router(self.cluster_config)
-        self.replicas: List[Optional[Replica]] = [None] * k
-
-    def _new_replica(self, i: int) -> Replica:
-        rep = Replica(
-            i,
-            self._engine_factory,
-            self._backends[i],
-            self._clusters[i],
-            self.config,
-            fault_plan=self._fault_plans[i],
-        )
-        self.replicas[i] = rep
-        return rep
+        self.replicas: List[Replica] = []
+        #: Arrival instant of the last submitted request.
+        self._last_arrival: Optional[float] = None
 
     def serve(self, workload: Workload) -> ClusterReport:
         """Route the workload across the replicas and serve it all."""
-        requests = workload.requests()
-        if self.cluster_config.dynamic and self.cluster_config.n_replicas > 1:
-            self._serve_lockstep(workload, requests)
-        else:
-            self._serve_static(workload, requests)
-        return self._build_report()
-
-    # -- static path: partition up front, run replicas independently -------
-
-    def _serve_static(
-        self, workload: Workload, requests: List[Request]
-    ) -> None:
-        k = self.cluster_config.n_replicas
-        cold = [_ColdReplica()] * k
-        buckets: List[List[Request]] = [[] for _ in range(k)]
-        for req in requests:
-            buckets[self.router.route(req, cold)].append(req)
-        for i, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            rep = self._new_replica(i)
-            rep.start(
-                RequestScheduler.from_requests(
-                    bucket, max_active=workload.max_active
-                )
-            )
-            rep.drain()
+        self.open(max_active=workload.max_active)
+        for req in workload.requests():
+            self.submit(req)
+        self.close_and_drain()
+        return self.report()
 
     # -- incremental (push-mode) surface ------------------------------------
-    # The lockstep serve path and the streaming front-end
+    # ``serve`` and the streaming front-end
     # (:class:`repro.api.session.ServingSession`) share these four calls:
-    # open K fed replicas, submit requests one at a time (the cluster
-    # co-simulates to each arrival and routes on live state), then close
-    # the feeds and drain.  ``serve()`` composed of them is byte-identical
-    # to the historical lockstep body.
+    # open K replicas with empty queues, submit requests one at a time (the
+    # cluster co-simulates to each arrival and routes on live state), then
+    # close the queues and drain.
 
     def open(self, max_active: Optional[int] = None) -> List[Replica]:
-        """Create all K replicas in push mode (open :class:`ReplicaFeed`)."""
-        if any(rep is not None for rep in self.replicas):
+        """Create and start all K replicas with empty, open queues."""
+        if self.replicas:
             raise RuntimeError("cluster already opened")
-        k = self.cluster_config.n_replicas
-        replicas = [self._new_replica(i) for i in range(k)]
-        for rep in replicas:
-            rep.start(ReplicaFeed(max_active=max_active))
-        return replicas
+        self.replicas = [
+            Replica(
+                i,
+                self._engine_factory,
+                self._backends[i],
+                self._clusters[i],
+                self.config,
+                fault_plan=self._fault_plans[i],
+            )
+            for i in range(self.cluster_config.n_replicas)
+        ]
+        for rep in self.replicas:
+            rep.start(max_active=max_active)
+        return self.replicas
 
     def _live(self) -> List[Replica]:
-        live = [rep for rep in self.replicas if rep is not None]
-        if not live:
+        if not self.replicas:
             raise RuntimeError("cluster not opened")
-        return live
+        return self.replicas
 
     def submit(self, req: Request) -> int:
         """Advance to ``req.arrival``, route on live state, enqueue.
 
         Returns the chosen replica index.  Requests must be submitted in
-        arrival order (the feeds enforce it).
+        arrival order (the queues enforce it).  Requests sharing an arrival
+        instant are pushed together: only the first advances the replicas,
+        so a head admits the whole same-instant batch in one sweep
+        (priority order included) instead of acting between pushes.
         """
         replicas = self._live()
-        # Advance every kernel to the arrival instant so queue depths
-        # and radix trees reflect the true state at t.
-        for rep in replicas:
-            rep.advance_to(req.arrival)
+        if req.arrival != self._last_arrival:
+            # Advance every kernel to the arrival instant so queue depths
+            # and radix trees reflect the true state at t.
+            for rep in replicas:
+                rep.advance_to(req.arrival)
+            self._last_arrival = req.arrival
         if self.cluster_config.migration:
             self.router.rebalance(replicas)
         target = self.router.route(req, replicas)
@@ -601,58 +540,41 @@ class EngineCluster:
             rep.advance_to(t)
 
     def close_and_drain(self) -> None:
-        """Close every feed and run all replicas to completion."""
+        """Close every queue and run all replicas to completion."""
         for rep in self._live():
             rep.drain()
 
     def report(self) -> ClusterReport:
-        """Aggregate the (drained) replicas into a :class:`ClusterReport`."""
-        return self._build_report()
+        """Aggregate the (drained) replicas into a :class:`ClusterReport`.
 
-    # -- lockstep path: co-simulate, route on live state --------------------
-
-    def _serve_lockstep(
-        self, workload: Workload, requests: List[Request]
-    ) -> None:
-        self.open(max_active=workload.max_active)
-        for req in requests:
-            self.submit(req)
-        self.close_and_drain()
-
-    # -- aggregation ---------------------------------------------------------
-
-    def _build_report(self) -> ClusterReport:
-        per_replica = [
-            rep.report() if rep is not None else None for rep in self.replicas
-        ]
-        live = [rep for rep in self.replicas if rep is not None]
+        Every replica counts toward the cluster totals (nodes, node-weighted
+        utilization, delivered messages) whether or not the router sent it
+        any request; only ``per_replica`` marks an idle one with None.
+        """
+        replicas = self._live()
+        per_replica = [rep.report() for rep in replicas]
         all_requests = [
-            r for rep in live for r in rep.engine.request_reports
+            r for rep in replicas for r in rep.engine.request_reports
         ]
         if not all_requests:
             raise ValueError("cluster served no requests")
-        extra = RunStats.merged([rep.metrics.stats for rep in live])
+        extra = RunStats.merged([rep.metrics.stats for rep in replicas])
+        total_nodes = sum(rep.cluster.size for rep in replicas)
         merged = ServingReport.from_requests(
-            live[0].engine.name,
-            sum(rep.cluster.size for rep in live),
-            all_requests,
-            extra_stats=extra,
+            replicas[0].engine.name, total_nodes, all_requests, extra_stats=extra
         )
         # Node-weighted busy fraction over the cluster-wide makespan.
-        total_nodes = sum(rep.cluster.size for rep in live)
         merged.utilization = (
             sum(
                 rep.metrics.utilization(total_time=merged.makespan)
                 * rep.cluster.size
-                for rep in live
+                for rep in replicas
             )
             / total_nodes
-            if total_nodes
-            else 0.0
         )
-        merged.n_resumes = sum(rep.kernel.n_resumes for rep in live)
-        merged.n_delivered = sum(rep.network.n_delivered for rep in live)
-        for rep in live:
+        merged.n_resumes = sum(rep.kernel.n_resumes for rep in replicas)
+        merged.n_delivered = sum(rep.network.n_delivered for rep in replicas)
+        for rep in replicas:
             for width, count in rep.metrics.fusion_width_hist().items():
                 merged.fusion_width[width] = (
                     merged.fusion_width.get(width, 0) + count

@@ -24,8 +24,12 @@ Two head loops implement serving:
   blocks on the pipeline.  The pipeline stays up between requests; KV
   state is cleared with a pipelined ``SEQ_RM`` after each one.
 
-Both record a :class:`~repro.metrics.report.RequestReport` per request and
-leave the list on ``engine.request_reports``.
+Both read the replica's :class:`~repro.serve.scheduler.RequestScheduler`,
+into which the cluster driver pushes requests one at a time: a head keeps
+the pipeline up while its queue is open, and shuts it down once the queue
+is closed and every request has completed.  Both record a
+:class:`~repro.metrics.report.RequestReport` per request and leave the
+list on ``engine.request_reports``.
 """
 
 from __future__ import annotations
@@ -123,12 +127,7 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
     reports: List[RequestReport] = []
 
     cache = (
-        PrefixCacheManager(
-            pool,
-            cfg.prefix_cache_cells,
-            cfg.min_match_tokens,
-            promote_on_second_hit=cfg.prefix_promote_on_second_hit,
-        )
+        PrefixCacheManager(pool, cfg.prefix_cache_cells, cfg.min_match_tokens)
         if cfg.prefix_cache
         else None
     )
@@ -497,15 +496,22 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
             arrival_step(until)
             return
         nxt = scheduler.next_arrival()
-        if nxt is not None and nxt > kernel.now:
+        if nxt is not None:
+            # With nothing active an arrived request is always admitted
+            # (the lone-request escape hatch), so the queue head lies in
+            # the future.  The driver may push it before this replica's
+            # kernel has reached its arrival.
+            assert nxt > kernel.now, "arrived request left unadmitted"
             kernel.call_at(nxt, step)
-        elif nxt is None and scheduler.stream_open():
-            # Push-mode feed (cluster serving) with nothing queued yet:
-            # park until the router pushes a request (it notifies this
-            # endpoint's arrival watchers) instead of burning idle polls.
+        elif scheduler.stream_open():
+            # Nothing queued: park until the driver pushes a request or
+            # closes the queue (both notify this endpoint's arrival
+            # watchers).
             arrival_step(None)
         else:
-            kernel.call_after(cfg.idle_poll, step)
+            # The queue closed with nothing left to serve (its last queued
+            # request was cancelled): re-enter the loop, which exits.
+            step()
 
     def step() -> None:
         while active or scheduler.has_pending() or scheduler.stream_open():
@@ -689,10 +695,10 @@ def sequential_serving_head(engine, scheduler: RequestScheduler) -> Generator:
 
     while scheduler.has_pending() or scheduler.stream_open():
         if not scheduler.has_pending():
-            # Push-mode feed (cluster serving): park until the router
-            # pushes the next request or closes the stream — both notify
-            # this endpoint's arrival watchers.
-            fut = kernel.future(f"feed-wait@{engine.head_rank()}")
+            # Nothing queued: park until the driver pushes the next
+            # request or closes the queue — both notify this endpoint's
+            # arrival watchers.
+            fut = kernel.future(f"queue-wait@{engine.head_rank()}")
             fut.detail = "wait_for_routed_request"
             engine.ep()._arrival_watchers.append(fut)
             yield fut

@@ -1,12 +1,9 @@
 """Entry point: run a workload of requests through one simulated pipeline.
 
-``run_serving`` is the single-pipeline (K=1) path: it builds one
-:class:`~repro.serve.cluster.Replica` — the same bundle the
-multi-replica :class:`~repro.serve.cluster.EngineCluster` instantiates K
-times — feeds it the whole workload, and returns its report.  The
-construction and execution order inside ``Replica`` matches this
-module's historical body exactly, so results are byte-identical to
-every earlier release.
+``run_serving`` is the single-pipeline (K=1) case of the one serving
+driver, :class:`~repro.serve.cluster.EngineCluster`: it opens one
+replica, pushes the workload into its queue request by request, drains
+it, and returns that replica's report.
 """
 
 from __future__ import annotations
@@ -17,8 +14,8 @@ from repro.cluster.topology import Cluster
 from repro.engines.backend import Backend
 from repro.engines.base import EngineConfig, GenerationJob
 from repro.metrics.report import ServingReport
-from repro.serve.cluster import Replica
-from repro.serve.scheduler import RequestScheduler, Workload
+from repro.serve.cluster import ClusterConfig, run_cluster
+from repro.serve.scheduler import Workload
 
 
 def run_serving(
@@ -28,7 +25,6 @@ def run_serving(
     workload: Workload,
     config: Optional[EngineConfig] = None,
     fault_plan=None,
-    trace: Optional[list] = None,
 ) -> ServingReport:
     """Build a fresh simulation, serve the whole workload, return the report.
 
@@ -46,23 +42,16 @@ def run_serving(
             arms the ack/retransmit + re-prefill recovery machinery.  An
             empty (or None) plan installs nothing — the simulation is
             byte-identical to one run without the fault plane.
-        trace: optional list the network appends every consumed message
-            to as ``(rank, src, tag, seq)`` — the batched-inbox
-            equivalence suite uses it to prove on/off consumption-order
-            identity.  Leave None (the default) on the hot path.
     """
-    replica = Replica(
-        0,
+    report = run_cluster(
         engine_factory,
-        backend,
-        cluster,
-        config=config,
-        fault_plan=fault_plan,
-        trace=trace,
-    )
-    replica.start(RequestScheduler(workload))
-    replica.drain()
-    report = replica.report()
+        [backend],
+        [cluster],
+        workload,
+        ClusterConfig(n_replicas=1),
+        config,
+        fault_plans=[fault_plan],
+    ).per_replica[0]
     assert report is not None  # workloads hold >= 1 job
     return report
 

@@ -3,7 +3,8 @@
 A :class:`Workload` is a static description: jobs plus an arrival trace
 (see :mod:`repro.workloads.arrivals`) and an optional concurrency cap.
 The :class:`RequestScheduler` is the live FCFS admission queue the serving
-head consults: requests become *ready* when simulated time passes their
+head consults.  The cluster driver pushes requests into it one at a time
+in arrival order; they become *ready* when simulated time passes their
 arrival, are *admitted* when the head has a free KV partition (and the
 cap allows), and are *completed* when their token budget is met and their
 in-flight runs have drained.
@@ -207,73 +208,57 @@ class Workload:
 
 
 class RequestScheduler:
-    """FCFS admission queue (priority-aware) driven by the serving head.
+    """Push-mode FCFS admission queue (priority-aware) of one serving head.
+
+    The queue starts empty and receives requests one at a time
+    (:meth:`push`) in global arrival order, as the cluster's router
+    assigns them.  The stream stays *open* — the head parks instead of
+    shutting the pipeline down when the queue drains — until the driver
+    calls :meth:`close` after the last request has been routed.
 
     Admission readiness keeps the historical *contiguous prefix* rule:
     only requests up to the first not-yet-arrived queue entry are
     candidates (so a migrated request parked behind a later arrival waits
-    its queue turn, exactly as before).  Among those candidates the
-    highest ``priority`` wins, ties broken by queue position — with all
-    priorities zero this degenerates to popping the head, byte-identical
-    to the historical FCFS scheduler.
+    its queue turn).  Among those candidates the highest ``priority``
+    wins, ties broken by queue position — with all priorities zero this
+    degenerates to popping the head: plain FCFS.
+
+    The queue-depth accessors feed the router's load signals: ``depth``
+    counts requests in the system (queued or active, not yet completed),
+    ``n_waiting`` only those not yet admitted.  :meth:`steal_tail` lets
+    the router migrate the most recently routed request away while it is
+    still waiting — admitted requests hold KV state and never move.
     """
 
-    def __init__(self, workload: Workload) -> None:
-        self.workload: Optional[Workload] = workload
-        self._queue: List[Request] = workload.requests()
-        self._pending: List[Request] = list(self._queue)
-        self._max_active = workload.max_active
+    def __init__(self, max_active: Optional[int] = None) -> None:
+        self._queue: List[Request] = []
+        self._pending: List[Request] = []
+        self._max_active = max_active
         self.n_admitted = 0
         self.n_completed = 0
         self.n_cancelled = 0
         #: req_id -> completion timestamp.
         self.completed_at: Dict[int, float] = {}
-
-    @classmethod
-    def from_requests(
-        cls, requests: List[Request], max_active: Optional[int] = None
-    ) -> "RequestScheduler":
-        """A scheduler over pre-routed requests, global req_ids preserved.
-
-        The cluster's static routing path partitions one workload's FCFS
-        stream across replicas; rebuilding per-replica ``Workload``s
-        would renumber ``req_id``s (they are positional), so the router
-        hands each replica its slice of already-numbered requests.
-        """
-        if not requests:
-            raise ValueError("scheduler needs at least one request")
-        self = cls.__new__(cls)
-        self.workload = None
-        self._queue = sorted(requests, key=lambda r: (r.arrival, r.req_id))
-        self._pending = list(self._queue)
-        self._max_active = max_active
-        self.n_admitted = 0
-        self.n_completed = 0
-        self.n_cancelled = 0
-        self.completed_at = {}
-        return self
+        self.closed = False
 
     @property
-    def max_active(self) -> Optional[int]:
-        return self._max_active
+    def depth(self) -> int:
+        """Requests in the system: routed here, neither completed nor
+        cancelled-while-queued."""
+        return len(self._queue) - self.n_completed - self.n_cancelled
 
     @property
-    def n_total(self) -> int:
-        return len(self._queue)
+    def n_waiting(self) -> int:
+        """Requests routed here but not yet admitted into the pipeline."""
+        return len(self._pending)
 
     def has_pending(self) -> bool:
         """Requests not yet admitted (nor cancelled while queued) remain."""
         return bool(self._pending)
 
     def stream_open(self) -> bool:
-        """Whether more requests may still be fed in.
-
-        A static workload is fully known up front, so the stream is never
-        open: the serving head may exit as soon as the queue drains.  The
-        cluster router's :class:`ReplicaFeed` overrides this — its head
-        must stay up until the router closes the stream.
-        """
-        return False
+        """Whether more requests may still be pushed (not yet closed)."""
+        return not self.closed
 
     def all_done(self) -> bool:
         return self.n_completed + self.n_cancelled == len(self._queue)
@@ -329,6 +314,35 @@ class RequestScheduler:
         self.n_admitted += 1
         return req
 
+    def push(self, req: Request, migrated: bool = False) -> None:
+        """Append one routed request; must arrive in global FCFS order.
+
+        Migrated requests (stolen from another replica's tail) may carry
+        an arrival earlier than this queue's tail — they simply wait
+        their queue turn — so ``migrated=True`` skips the order guard.
+        """
+        if self.closed:
+            raise ValueError("cannot push into a closed queue")
+        if not migrated and self._queue and req.arrival < self._queue[-1].arrival:
+            raise ValueError(
+                f"push out of arrival order: {req.arrival} after "
+                f"{self._queue[-1].arrival}"
+            )
+        self._queue.append(req)
+        self._pending.append(req)
+
+    def steal_tail(self) -> Optional[Request]:
+        """Take back the most recently pushed, not-yet-admitted request."""
+        if not self._pending or self._pending[-1] is not self._queue[-1]:
+            return None
+        req = self._pending.pop()
+        self._queue.pop()
+        return req
+
+    def close(self) -> None:
+        """No more requests will be pushed; the head may drain and exit."""
+        self.closed = True
+
     def cancel_queued(self, req_id: int) -> Optional[Request]:
         """Remove a not-yet-admitted request (client disconnected).
 
@@ -347,90 +361,3 @@ class RequestScheduler:
             raise ValueError(f"request {req_id} completed twice")
         self.completed_at[req_id] = t
         self.n_completed += 1
-
-
-class ReplicaFeed(RequestScheduler):
-    """Push-mode admission queue for one cluster replica.
-
-    Where :class:`RequestScheduler` holds a whole static workload from the
-    start, a feed begins empty and receives requests one at a time as the
-    cluster's router assigns them (:meth:`push`), in global arrival order.
-    The serving head treats it exactly like the static scheduler except
-    that the stream stays *open* — the head parks instead of shutting the
-    pipeline down when the queue drains — until the router calls
-    :meth:`close` after the last request has been routed.
-
-    The queue-depth accessors feed the router's load signals: ``depth``
-    counts requests in the system (queued or active, not yet completed),
-    ``n_waiting`` only those not yet admitted.  :meth:`steal_tail` lets
-    the router migrate the most recently routed request away while it is
-    still waiting — admitted requests hold KV state and never move.
-    """
-
-    def __init__(self, max_active: Optional[int] = None) -> None:
-        self._queue: List[Request] = []
-        self._pending: List[Request] = []
-        self._max_active = max_active
-        self.n_admitted = 0
-        self.n_completed = 0
-        self.n_cancelled = 0
-        self.completed_at: Dict[int, float] = {}
-        self.closed = False
-        self.n_pushed = 0
-
-    @property
-    def workload(self):  # pragma: no cover - guards accidental static use
-        raise AttributeError("a ReplicaFeed has no static workload")
-
-    @property
-    def max_active(self) -> Optional[int]:
-        return self._max_active
-
-    def may_admit(self, n_active: int) -> bool:
-        cap = self._max_active
-        return cap is None or n_active < cap
-
-    def stream_open(self) -> bool:
-        return not self.closed
-
-    @property
-    def depth(self) -> int:
-        """Requests in the system: routed here, neither completed nor
-        cancelled-while-queued."""
-        return len(self._queue) - self.n_completed - self.n_cancelled
-
-    @property
-    def n_waiting(self) -> int:
-        """Requests routed here but not yet admitted into the pipeline."""
-        return len(self._pending)
-
-    def push(self, req: Request, migrated: bool = False) -> None:
-        """Append one routed request; must arrive in global FCFS order.
-
-        Migrated requests (stolen from another replica's tail) may carry
-        an arrival earlier than this queue's tail — they simply wait
-        their queue turn — so ``migrated=True`` skips the order guard.
-        """
-        if self.closed:
-            raise ValueError("cannot push into a closed feed")
-        if not migrated and self._queue and req.arrival < self._queue[-1].arrival:
-            raise ValueError(
-                f"push out of arrival order: {req.arrival} after "
-                f"{self._queue[-1].arrival}"
-            )
-        self._queue.append(req)
-        self._pending.append(req)
-        self.n_pushed += 1
-
-    def steal_tail(self) -> Optional[Request]:
-        """Take back the most recently pushed, not-yet-admitted request."""
-        if not self._pending or self._pending[-1] is not self._queue[-1]:
-            return None
-        req = self._pending.pop()
-        self._queue.pop()
-        self.n_pushed -= 1
-        return req
-
-    def close(self) -> None:
-        """No more requests will be routed here; heads may drain and exit."""
-        self.closed = True

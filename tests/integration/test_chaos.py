@@ -27,14 +27,13 @@ from repro import (
     GenerationJob,
     OracleBackend,
     PipeInferEngine,
-    Replica,
     Workload,
     cluster_c,
     get_pair,
     run_serving,
 )
 from repro.faults import CrashSpec, LinkFault, StragglerSpec
-from repro.serve.scheduler import RequestScheduler
+from repro.serve import EngineCluster
 from repro.workloads import (
     SharedPrefixTemplate,
     cloud_edge_arrivals,
@@ -193,13 +192,12 @@ def test_faulty_run_costs_a_small_multiple_of_clean_events(pair, workload):
 
     def kernel_events(plan):
         backend = OracleBackend(pair, head_node=cloud_edge_cluster().nodes[0])
-        replica = Replica(
-            0, PipeInferEngine, backend, cloud_edge_cluster(N_CLOUD, N_EDGE),
-            fault_plan=plan,
+        cluster = EngineCluster(
+            PipeInferEngine, [backend], [cloud_edge_cluster(N_CLOUD, N_EDGE)],
+            fault_plans=[plan],
         )
-        replica.start(RequestScheduler(workload))
-        replica.drain()
-        return replica.kernel.n_events
+        cluster.serve(workload)
+        return cluster.replicas[0].kernel.n_events
 
     clean = kernel_events(None)
     for seed in (1, 2, 3):

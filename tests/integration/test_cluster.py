@@ -341,3 +341,31 @@ class TestEngineClusterSurface:
         assert report.n_replicas == 2
         assert sum(report.routed) == len(multiturn_workload.jobs)
         assert [rep is not None for rep in ec.replicas] == [True, True]
+
+
+class TestIdleReplicaAccounting:
+    def test_idle_replica_counts_toward_cluster_totals(self, pair):
+        """A replica the router never picks still belongs to the cluster:
+        its nodes count in ``n_nodes`` and its (idle) busy fraction in the
+        node-weighted utilization, however the requests were routed."""
+        jobs = tuple(
+            GenerationJob(prompt=tuple(range(10 + i, 42 + i)), n_generate=8)
+            for i in range(2)
+        )
+        wl = Workload(jobs=jobs, arrivals=closed_loop_arrivals(len(jobs)))
+        backends, clusters = make_parts(pair, N_REPLICAS)
+        report = run_cluster(
+            PipeInferEngine,
+            backends,
+            clusters,
+            wl,
+            cluster_config=ClusterConfig(
+                n_replicas=N_REPLICAS, routing="random", affinity="none"
+            ),
+        )
+        idle = [i for i, n in enumerate(report.routed) if n == 0]
+        assert idle, "workload must leave at least one replica without work"
+        assert all(report.per_replica[i] is None for i in idle)
+        assert report.merged.n_nodes == N_REPLICAS * clusters[0].size
+        busy = [r for r in report.per_replica if r is not None]
+        assert report.merged.utilization < max(r.utilization for r in busy)

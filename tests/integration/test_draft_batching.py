@@ -1,9 +1,8 @@
-"""Cross-request draft batching and burst dispatch: engine-level invariants.
+"""Cross-request draft batching: engine-level invariants.
 
-The draft scheduler and transaction bursts must be pure scheduling
-optimizations: served outputs are token-identical with batching disabled
-(``max_draft_batch=1``) and with burst dispatch disabled
-(``burst_dispatch=False``); logits return in dispatch order (the FIFO
+The draft scheduler must be a pure scheduling optimization: served
+outputs are token-identical with batching disabled
+(``max_draft_batch=1``); logits return in dispatch order (the FIFO
 discipline the serving head relies on); and under steady serving load the
 scheduler must actually batch (draft width > 1) and widen the workers'
 fusion windows past the historical cap of 2.
@@ -17,14 +16,12 @@ from repro import (
     PipeInferEngine,
     Workload,
     cluster_c,
-    run_engine,
 )
 from repro.engines.backend import OracleBackend
 from repro.models.zoo import get_pair
 from repro.serve.run import run_serving
 from repro.spec.draft import DraftParams
 from repro.workloads import make_prompt
-from tests.conftest import PROMPT
 
 
 def functional_cfg(**overrides) -> EngineConfig:
@@ -69,30 +66,6 @@ class TestDraftBatchEquivalence:
         assert reports[8].outputs() == reports[1].outputs()
         assert all(w == 1 for w in reports[1].draft_batch_width)
         assert max(reports[8].draft_batch_width) > 1
-
-    def test_serving_outputs_invariant_under_burst_dispatch(
-        self, tiny_target, tiny_draft
-    ):
-        workload = steady_workload()
-        reports = {}
-        for burst in (False, True):
-            backend = FunctionalBackend(tiny_target, tiny_draft, n_cells=4096)
-            reports[burst] = run_serving(
-                PipeInferEngine, backend, cluster_c(4), workload,
-                functional_cfg(burst_dispatch=burst),
-            )
-        assert reports[True].outputs() == reports[False].outputs()
-
-    def test_single_job_invariant_under_burst_dispatch(self, functional_backend):
-        job = GenerationJob(prompt=PROMPT, n_generate=24)
-        tokens = {}
-        for burst in (False, True):
-            report = run_engine(
-                PipeInferEngine, functional_backend, cluster_c(4), job,
-                functional_cfg(burst_dispatch=burst),
-            )
-            tokens[burst] = report.tokens
-        assert tokens[True] == tokens[False]
 
     def test_oracle_serving_invariant_under_draft_batching(self):
         """The default (sequential) propose_multi drives oracle serving

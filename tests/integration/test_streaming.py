@@ -2,9 +2,10 @@
 
 The acceptance bar for the streaming layer:
 
-- ``stream_serving`` is *field-identical* to ``run_serving`` — streams
-  are pure observers, never simulation inputs — and every request's
-  streamed token sequence equals its report tokens;
+- a one-replica :class:`ServingSession` fed a whole workload reports
+  *field-identically* to ``run_serving`` — streams are pure observers,
+  never simulation inputs — and every request's streamed token sequence
+  equals its report tokens;
 - stream events carry the sim instants verification accepted the tokens
   (first event at prefill end, timestamps monotone, close never before
   the last delivery);
@@ -24,7 +25,6 @@ import pytest
 
 from repro import (
     ClusterConfig,
-    EngineConfig,
     GenerationJob,
     OracleBackend,
     PipeInferEngine,
@@ -33,7 +33,7 @@ from repro import (
     run_engine,
     run_serving,
 )
-from repro.api import AsyncFrontend, ServingSession, stream_serving
+from repro.api import AsyncFrontend, ServingSession
 from repro.serve import EngineCluster, make_workload
 from repro.serve.cluster import Router
 from repro.serve.scheduler import Request
@@ -84,8 +84,23 @@ def batch_report(pair, slo_workload):
 
 @pytest.fixture(scope="module")
 def streamed(pair, slo_workload):
+    """The batch workload served through a session: (report, hub)."""
     backend, cluster = _parts(pair)
-    return stream_serving(PipeInferEngine, backend, cluster, slo_workload)
+    sess = ServingSession(
+        EngineCluster(
+            PipeInferEngine, [backend], [cluster],
+            cluster_config=ClusterConfig(n_replicas=1),
+        )
+    )
+    for req in slo_workload.requests():
+        sess.submit(
+            req.job,
+            arrival=req.arrival,
+            priority=req.priority,
+            ttft_slo=req.ttft_slo,
+            itl_slo=req.itl_slo,
+        )
+    return sess.report().per_replica[0], sess.hub
 
 
 class TestStreamServingIdentity:

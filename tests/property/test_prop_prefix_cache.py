@@ -224,62 +224,3 @@ class TestOversizedLoneRequest:
         )
         assert report.token_counts() == {0: 4, 1: 8}
         assert report.requests[1].cached_tokens > 0
-
-
-class TestSecondHitPromotion:
-    """`prefix_promote_on_second_hit` defers donations, never tokens."""
-
-    def _shared_jobs(self):
-        template = SharedPrefixTemplate(shared_len=24, unique_len=6, seed=11)
-        return [
-            GenerationJob(prompt=p, n_generate=10)
-            for p in template.prompts(6, VOCAB)
-        ]
-
-    def test_promotion_on_equals_off(self, models):
-        jobs = self._shared_jobs()
-        off = serve(models, jobs, prefix_cache=True, min_match_tokens=8)
-        on = serve(
-            models, jobs, prefix_cache=True, min_match_tokens=8,
-            prefix_promote_on_second_hit=True,
-        )
-        base = serve(models, jobs, prefix_cache=False)
-        assert on.outputs() == off.outputs() == base.outputs()
-        on_stats, off_stats = on.prefix_cache_stats, off.prefix_cache_stats
-        assert on_stats["deferred_donations"] >= 1
-        assert on_stats["donated_nodes"] <= off_stats["donated_nodes"]
-        assert on_stats["donated_tokens"] <= off_stats["donated_tokens"]
-
-    def test_shared_head_promotes_on_second_offer(self, models):
-        jobs = self._shared_jobs()
-        on = serve(
-            models, jobs, prefix_cache=True, max_active=1,
-            min_match_tokens=8, prefix_promote_on_second_hit=True,
-        )
-        stats = on.prefix_cache_stats
-        # The first completion only seeds the shadow trie; the second
-        # promotes exactly the twice-offered 24-token head — the unique
-        # tails never enter the tree.
-        assert stats["donated_nodes"] == 1
-        assert stats["donated_tokens"] == 24
-        assert stats["requests_hit"] >= 3
-
-    def test_unique_traffic_keeps_tree_empty(self, models):
-        jobs = [
-            GenerationJob(
-                prompt=tuple(
-                    16 + (i * 997 + j * 31) % (VOCAB - 16) for j in range(24)
-                ),
-                n_generate=8,
-            )
-            for i in range(4)
-        ]
-        on = serve(
-            models, jobs, prefix_cache=True, min_match_tokens=8,
-            prefix_promote_on_second_hit=True,
-        )
-        off = serve(models, jobs, prefix_cache=False)
-        assert on.outputs() == off.outputs()
-        stats = on.prefix_cache_stats
-        assert stats["donated_nodes"] == 0
-        assert stats["deferred_donations"] == len(jobs)

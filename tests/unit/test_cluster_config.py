@@ -1,4 +1,4 @@
-"""ClusterConfig validation, Router policy units, and ReplicaFeed mechanics.
+"""ClusterConfig validation, Router policy units, and replica-queue mechanics.
 
 Router tests drive the policies against duck-typed fake replicas (a
 ``depth`` and a ``prefix_match_tokens``), so placement logic is pinned
@@ -8,7 +8,7 @@ without simulating a pipeline.
 import pytest
 
 from repro.engines.base import EngineConfig, GenerationJob
-from repro.serve import ClusterConfig, ReplicaFeed, RoutingPolicy
+from repro.serve import ClusterConfig, RequestScheduler, RoutingPolicy
 from repro.serve.cluster import EngineCluster, Router, _materialize
 from repro.serve.scheduler import Request
 
@@ -60,14 +60,6 @@ class TestClusterConfig:
     def test_migration_requires_queue_cap(self):
         with pytest.raises(ValueError, match="migration needs queue_cap"):
             ClusterConfig(migration=True)
-
-    def test_dynamic_classification(self):
-        assert not ClusterConfig(routing="random", affinity="none").dynamic
-        assert not ClusterConfig(routing="round_robin").dynamic
-        assert ClusterConfig(routing="least_loaded").dynamic
-        assert ClusterConfig(routing="prefix_affinity").dynamic
-        # Any queue cap needs live depths even under a static policy.
-        assert ClusterConfig(routing="random", queue_cap=4).dynamic
 
     def test_prefix_affinity_requires_prefix_cache(self):
         with pytest.raises(ValueError, match="prefix_cache"):
@@ -219,22 +211,22 @@ class TestRouterAffinityAndBackpressure:
 
 class TestRouterRebalance:
     class FeedReplica:
-        """Fake with a real ReplicaFeed so steal/push mechanics are live."""
+        """Fake with a real queue so steal/push mechanics are live."""
 
         def __init__(self, replica_id):
             self.replica_id = replica_id
-            self.feed = ReplicaFeed()
+            self.scheduler = RequestScheduler()
 
         @property
         def depth(self):
-            return self.feed.depth
+            return self.scheduler.depth
 
         @property
         def n_waiting(self):
-            return self.feed.n_waiting
+            return self.scheduler.n_waiting
 
         def admit(self, request, migrated=False):
-            self.feed.push(request, migrated=migrated)
+            self.scheduler.push(request, migrated=migrated)
 
     def test_steals_from_deep_queue(self):
         cfg = ClusterConfig(
@@ -264,8 +256,10 @@ class TestRouterRebalance:
 
 
 class TestReplicaFeed:
+    """The push-mode RequestScheduler that feeds each replica's head."""
+
     def test_push_then_admit_cycle(self):
-        feed = ReplicaFeed()
+        feed = RequestScheduler()
         feed.push(req(0, arrival=1.0))
         feed.push(req(1, arrival=2.0))
         assert feed.depth == 2 and feed.n_waiting == 2
@@ -276,27 +270,27 @@ class TestReplicaFeed:
         assert feed.depth == 1
 
     def test_stream_open_until_closed(self):
-        feed = ReplicaFeed()
+        feed = RequestScheduler()
         assert feed.stream_open()
         feed.close()
         assert not feed.stream_open()
-        with pytest.raises(ValueError, match="closed feed"):
+        with pytest.raises(ValueError, match="closed queue"):
             feed.push(req(0))
 
     def test_out_of_order_push_rejected(self):
-        feed = ReplicaFeed()
+        feed = RequestScheduler()
         feed.push(req(0, arrival=5.0))
         with pytest.raises(ValueError, match="arrival order"):
             feed.push(req(1, arrival=4.0))
 
     def test_migrated_push_skips_order_guard(self):
-        feed = ReplicaFeed()
+        feed = RequestScheduler()
         feed.push(req(0, arrival=5.0))
         feed.push(req(1, arrival=4.0), migrated=True)
-        assert feed.n_pushed == 2
+        assert feed.depth == 2
 
     def test_steal_tail_only_unadmitted(self):
-        feed = ReplicaFeed()
+        feed = RequestScheduler()
         feed.push(req(0, arrival=0.0))
         feed.push(req(1, arrival=1.0))
         assert feed.pop_ready(0.0).req_id == 0
@@ -305,6 +299,6 @@ class TestReplicaFeed:
         assert feed.steal_tail() is None  # head already admitted
 
     def test_max_active_cap(self):
-        feed = ReplicaFeed(max_active=2)
+        feed = RequestScheduler(max_active=2)
         assert feed.may_admit(1)
         assert not feed.may_admit(2)

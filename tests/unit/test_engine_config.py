@@ -1,5 +1,7 @@
 """EngineConfig field validation."""
 
+import dataclasses
+
 import pytest
 
 from repro import EngineConfig
@@ -63,8 +65,9 @@ def test_rejects_nonpositive_max_draft_batch(value):
 def test_draft_batch_and_burst_defaults():
     cfg = EngineConfig()
     assert cfg.max_draft_batch == 8
-    assert cfg.burst_dispatch is True
-    assert cfg.ablated(max_draft_batch=1, burst_dispatch=False).max_draft_batch == 1
+    assert cfg.ablated(max_draft_batch=1).max_draft_batch == 1
+    # Burst dispatch is unconditional: there is no off switch to default.
+    assert "burst_dispatch" not in {f.name for f in dataclasses.fields(cfg)}
 
 
 @pytest.mark.parametrize("field", ["prefix_cache_cells", "min_match_tokens"])

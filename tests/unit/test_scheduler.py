@@ -10,6 +10,14 @@ def make_jobs(n):
     return tuple(GenerationJob(prompt=(1, 2, 3), n_generate=4) for _ in range(n))
 
 
+def fed(workload):
+    """A queue holding ``workload``'s requests, pushed in arrival order."""
+    sched = RequestScheduler(max_active=workload.max_active)
+    for req in workload.requests():
+        sched.push(req)
+    return sched
+
+
 class TestWorkload:
     def test_requires_jobs(self):
         with pytest.raises(ValueError):
@@ -39,9 +47,7 @@ class TestWorkload:
 
 class TestScheduler:
     def test_fcfs_pop_order(self):
-        sched = RequestScheduler(
-            Workload(jobs=make_jobs(3), arrivals=(1.0, 0.0, 2.0))
-        )
+        sched = fed(Workload(jobs=make_jobs(3), arrivals=(1.0, 0.0, 2.0)))
         assert sched.next_arrival() == 0.0
         assert sched.pop_ready(0.0).req_id == 1
         # Request 0 has not arrived yet at t=0.5.
@@ -52,7 +58,7 @@ class TestScheduler:
         assert sched.next_arrival() is None
 
     def test_completion_bookkeeping(self):
-        sched = RequestScheduler(Workload(jobs=make_jobs(2)))
+        sched = fed(Workload(jobs=make_jobs(2)))
         sched.pop_ready(0.0)
         sched.pop_ready(0.0)
         assert not sched.all_done()
@@ -64,13 +70,13 @@ class TestScheduler:
             sched.on_completed(0, 5.0)
 
     def test_concurrency_cap(self):
-        sched = RequestScheduler(Workload(jobs=make_jobs(4), max_active=2))
+        sched = fed(Workload(jobs=make_jobs(4), max_active=2))
         assert sched.may_admit(0)
         assert sched.may_admit(1)
         assert not sched.may_admit(2)
 
     def test_uncapped(self):
-        sched = RequestScheduler(Workload(jobs=make_jobs(2)))
+        sched = fed(Workload(jobs=make_jobs(2)))
         assert sched.may_admit(10_000)
 
 
@@ -86,7 +92,7 @@ class TestWorstCaseCellDemand:
 
 class TestPriorityAdmission:
     def _sched(self, arrivals, priorities):
-        return RequestScheduler(
+        return fed(
             Workload(
                 jobs=make_jobs(len(arrivals)),
                 arrivals=arrivals,
@@ -121,7 +127,7 @@ class TestPriorityAdmission:
 
 class TestCancelQueued:
     def test_cancel_removes_and_counts_toward_done(self):
-        sched = RequestScheduler(Workload(jobs=make_jobs(2)))
+        sched = fed(Workload(jobs=make_jobs(2)))
         gone = sched.cancel_queued(1)
         assert gone is not None and gone.req_id == 1
         assert sched.pop_ready(0.0).req_id == 0
@@ -131,7 +137,7 @@ class TestCancelQueued:
         assert sched.all_done()
 
     def test_cancel_unknown_or_admitted_returns_none(self):
-        sched = RequestScheduler(Workload(jobs=make_jobs(1)))
+        sched = fed(Workload(jobs=make_jobs(1)))
         assert sched.cancel_queued(7) is None
         sched.pop_ready(0.0)
         # Already admitted: no longer queued, the head owns it now.
