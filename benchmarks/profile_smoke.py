@@ -17,7 +17,7 @@ artifact into a function-level triage tool.
 The serving scenario is the same one the bench gate runs
 (``bench_hotpath.bench_serving``): closed-loop requests through a 4-node
 pipeline with cross-request draft batching and fused windows — the
-workload every hot-path layer (kernel, links, transaction pool, scratch
+workload every hot-path layer (kernel, links, transactions, scratch
 arenas) sits under.  One un-profiled warm-up run precedes the measured
 one so allocator and import costs don't pollute the report.
 """

@@ -32,6 +32,7 @@ from repro.comm.payloads import (
     Activations,
     CancelMsg,
     DecodeMeta,
+    FusedRun,
     TokenSlot,
 )
 from repro.core.continuous import CutoffController
@@ -79,15 +80,13 @@ def new_request_context(
 
 
 def build_run_payload(
-    rec: RunRecord, states, want_all_logits: bool = True, pool=None
+    rec: RunRecord, states, want_all_logits: bool = True
 ) -> Tuple[DecodeMeta, Activations]:
     """The (meta, activations) pieces of one run's decode transaction.
 
     ``want_all_logits`` is True for verification runs (every slot's logits
     feed the verify walk) and False for prefill, where only the last
-    prompt slot's logits are sampled.  The activation record comes from
-    ``pool`` when given (the meta and its slots are long-lived — they stay
-    referenced by the head's flight bookkeeping — and are never pooled).
+    prompt slot's logits are sampled.
     """
     slots = [
         TokenSlot(
@@ -100,30 +99,24 @@ def build_run_payload(
     ]
     meta = DecodeMeta(rec.run_id, slots, rec.is_speculative, oracle_states=states)
     nbytes = TOKEN_ACTIVATION_BYTES_PER_TOKEN * len(rec.tokens)
-    if pool is not None:
-        act = pool.acquire_activations(rec.run_id, nbytes, hidden=None)
-    else:
-        act = Activations(rec.run_id, nbytes=nbytes, hidden=None)
-    return meta, act
+    return meta, Activations(rec.run_id, nbytes=nbytes, hidden=None)
 
 
 def send_record(engine, rec: RunRecord, states, want_all_logits: bool = True) -> None:
     """Send one run's decode transaction into the pipeline."""
     first_target = engine.target_ranks()[0]
     # send_decode stamps meta.nbytes from the backend's cost descriptor.
-    meta, act = build_run_payload(rec, states, want_all_logits, pool=engine.pool)
+    meta, act = build_run_payload(rec, states, want_all_logits)
     engine.send_decode(first_target, meta, act)
-    rec.dispatched_at = engine.net.kernel.now
 
 
-def track_dispatch(engine, ctx: RequestContext, rec: RunRecord) -> None:
-    """Per-dispatch bookkeeping shared by the singleton and burst paths.
+def track_dispatch(ctx: RequestContext, rec: RunRecord) -> None:
+    """Per-dispatch bookkeeping: push ``rec`` onto the request's run FIFO
+    and count the dispatch.
 
-    The two dispatch paths must stay bookkeeping-identical for the
-    burst-ablation differential suites to be meaningful, so the stamp /
-    FIFO push / counter live here and nowhere else.
+    Shared by :func:`send_run` and :func:`dispatch_burst`, so a run is
+    tracked the same way whichever transaction carries it.
     """
-    rec.dispatched_at = engine.net.kernel.now
     ctx.fifo.push(rec)
     ctx.metrics.stats.dispatched += 1
 
@@ -131,7 +124,7 @@ def track_dispatch(engine, ctx: RequestContext, rec: RunRecord) -> None:
 def send_run(engine, ctx: RequestContext, rec: RunRecord, states) -> None:
     """Dispatch ``rec`` into the pipeline and track it in the request FIFO."""
     send_record(engine, rec, states)
-    track_dispatch(engine, ctx, rec)
+    track_dispatch(ctx, rec)
 
 
 def canonical_entry(engine, ctx: RequestContext):
@@ -180,7 +173,7 @@ def dispatch_prefill(engine, ctx: RequestContext, start_pos: int = 0) -> RunReco
     )
     states = engine.backend.slot_states(ctx.chain, start_pos, len(rec.tokens))
     send_record(engine, rec, states, want_all_logits=False)
-    track_dispatch(engine, ctx, rec)
+    track_dispatch(ctx, rec)
     return rec
 
 
@@ -207,7 +200,7 @@ def dispatch_reprefill(engine, ctx: RequestContext, start_pos: int = 0) -> RunRe
     )
     states = engine.backend.slot_states(ctx.chain, start_pos, len(rec.tokens))
     send_record(engine, rec, states, want_all_logits=False)
-    track_dispatch(engine, ctx, rec)
+    track_dispatch(ctx, rec)
     return rec
 
 
@@ -543,10 +536,9 @@ def dispatch_burst(engine, entries) -> List[int]:
             items, n_runs = [], 0
         if ops:
             items.append(list(ops))
-        meta, act = build_run_payload(rec, states, pool=engine.pool)
-        items.append(engine.pool.acquire_fused_run(meta, act))
+        items.append(FusedRun(*build_run_payload(rec, states)))
         n_runs += 1
-        track_dispatch(engine, ctx, rec)
+        track_dispatch(ctx, rec)
         rids.append(ctx.req_id)
     if items:
         engine.send_burst(first_target, items)
@@ -629,7 +621,6 @@ def pipeinfer_head(engine, job: GenerationJob) -> Generator:
     send_record(engine, prefill_rec, states, want_all_logits=False)
     msg = yield from ep.recv(last_target, Tag.LOGITS)
     first = argmax_token(msg.payload.logits[0])
-    engine.pool.release_logits(msg.payload)
     ctx.accepted.append(first)
     ctx.chain.append(first)
     ctx.prefilled = True
@@ -643,7 +634,6 @@ def pipeinfer_head(engine, job: GenerationJob) -> Generator:
         while not ctx.target_reached() and ep.iprobe(last_target, Tag.LOGITS):
             msg = yield from ep.recv(last_target, Tag.LOGITS)
             yield from process_run_logits(engine, ctx, msg.payload)
-            engine.pool.release_logits(msg.payload)
             drained = True
         if drained:
             continue

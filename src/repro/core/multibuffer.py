@@ -228,29 +228,6 @@ class CellBudget:
             return True
         return not self._demands and self.retained == 0
 
-    def fits_live(self, live_used: int, demand: int) -> bool:
-        """Live-signal admission check (``EngineConfig.admission_live_cells``).
-
-        Replaces the static committed total with the workers' *actual*
-        cells-in-use (``KVCache.n_used``, O(1)): the new request's full
-        worst-case demand must fit beside what is really resident now.
-        This admits far more aggressively than summing every active
-        request's worst case — admitted requests typically hold a
-        fraction of their peak — at the cost of the hard guarantee: the
-        policy is optimistic about active requests' *future* growth, so
-        a workload whose active set simultaneously reaches worst-case
-        footprint can still overflow (surfaced as a cache error, exactly
-        like an oversized single job).  It is therefore opt-in; the
-        serving suite asserts representative workloads run without
-        overflow.  The too-large-to-ever-fit escape hatch is unchanged:
-        a request that would run alone is admitted regardless.
-        """
-        if self.capacity is None:
-            return True
-        if live_used + demand <= self.capacity:
-            return True
-        return not self._demands and self.retained == 0
-
     def admit(self, req_id: int, demand: int) -> None:
         if req_id in self._demands:
             raise ValueError(f"request {req_id} admitted twice")

@@ -54,7 +54,6 @@ class RunRecord:
         cancelled: set when invalidated; the run's logits are discarded.
         superfluous: set when all its predictions are already known; the
             run still evaluates fully (canonical) but sampling is skipped.
-        dispatched_at: simulated dispatch timestamp (diagnostics).
     """
 
     run_id: int
@@ -64,7 +63,6 @@ class RunRecord:
     seq_id: int
     cancelled: bool = False
     superfluous: bool = False
-    dispatched_at: float = 0.0
 
     @property
     def n_tokens(self) -> int:

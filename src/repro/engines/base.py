@@ -10,7 +10,6 @@ generation job to completion, and returns an :class:`EngineReport`.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import Generator, List, Optional, Sequence, Tuple
 
@@ -21,10 +20,10 @@ from repro.comm.payloads import (
     Activations,
     CacheOp,
     DecodeMeta,
+    FusedBatch,
     FusedRun,
     ShutdownMsg,
 )
-from repro.comm.pool import TransactionPool
 from repro.comm.transactions import TransactionType, send_transaction
 from repro.engines.backend import Backend
 from repro.metrics.collectors import MetricsCollector
@@ -42,7 +41,9 @@ class EngineConfig:
 
     PipeInfer-specific fields (Section IV): micro-batch size, the number
     of KV sequence partitions, the reactive-cutoff factors, and the
-    ablation switches for Figure 8.
+    ablation switches for Figure 8.  Serving admission is not a knob: it
+    charges each request its static worst-case cell demand against the
+    worker capacity (:class:`repro.core.multibuffer.CellBudget`).
     """
 
     draft: DraftParams = field(default_factory=DraftParams)
@@ -75,13 +76,6 @@ class EngineConfig:
     #: round (1 restores sequential one-request-at-a-time drafting; the
     #: differential suite pins both to identical served tokens).
     max_draft_batch: int = 8
-    #: Serving admission policy: when True, admit against the workers'
-    #: *live* cells-in-use (``KVCache.n_used``, O(1)) instead of the sum
-    #: of every active request's static worst-case demand.  Optimistic:
-    #: admits far earlier once requests have released or not yet grown
-    #: into their worst case, at the cost of the hard no-overflow
-    #: guarantee (see :meth:`repro.core.multibuffer.CellBudget.fits_live`).
-    admission_live_cells: bool = False
     #: Cross-request KV prefix caching (serving mode): completed requests
     #: donate their verified prompt KV into a radix tree of retained pool
     #: sequences; later requests materialize matching prefixes by
@@ -156,7 +150,7 @@ class GenerationJob:
             raise ValueError("must generate at least one token")
 
 
-class BaseEngine(ABC):
+class BaseEngine:
     """Common wiring for pipeline engines."""
 
     name = "base"
@@ -196,10 +190,6 @@ class BaseEngine(ABC):
         self.stream_hub = None
         self._worker_procs: dict = {}
         self._procs: List = []
-        #: Free lists for the transaction plane's per-message records,
-        #: shared by the head and every worker of this engine (payloads
-        #: travel by reference, so one host-level pool is correct).
-        self.pool = TransactionPool()
 
     # -- rank layout (overridden by PipeInfer) --------------------------------
 
@@ -267,7 +257,6 @@ class BaseEngine(ABC):
                 node=self.cluster.nodes[rank],
                 metrics=self.metrics,
                 max_fuse=self.config.max_fused_runs,
-                pool=self.pool,
                 injector=self.injector,
             ),
             name=f"worker-{rank}",
@@ -333,9 +322,14 @@ class BaseEngine(ABC):
                 ),
             )
 
-    @abstractmethod
     def _head(self, job: GenerationJob) -> Generator:
-        """The head node's process (single job, shuts the pipeline down)."""
+        """The head node's process (single job, shuts the pipeline down).
+
+        The sequential baselines run their :meth:`_generate` loop and
+        finish; PipeInfer overrides this with its asynchronous head.
+        """
+        accepted = yield from self._generate(job)
+        self.finish(job, accepted)
 
     def _generate(self, job: GenerationJob) -> Generator:
         """One request's generation loop; returns the accepted stream.
@@ -362,10 +356,11 @@ class BaseEngine(ABC):
     def worker_cells_used(self) -> int:
         """Largest live cells-in-use count across the worker KV shards.
 
-        The serving head uses this as the real occupancy signal for
-        live-cell admission (``EngineConfig.admission_live_cells``).
-        Per shard, ``n_used`` is O(1) for the functional :class:`KVCache`
-        and an O(active sequences) interval sum for the performance-mode
+        A test probe: the cancellation suite asserts through it that the
+        worker KV shards return to their baseline occupancy once every
+        request has released its partitions.  Per shard, ``n_used`` is
+        O(1) for the functional :class:`KVCache` and an O(active
+        sequences) interval sum for the performance-mode
         :class:`RangeKVCache`; shards whose cache does not expose a usage
         count contribute nothing.
         """
@@ -409,6 +404,7 @@ class BaseEngine(ABC):
         reaches the first stage as a single transaction: its fusion
         window sees every run at once instead of one run per head-loop
         iteration.  Meta sizes are stamped here like :meth:`send_decode`.
+        The batch takes ``items`` by reference; callers start a new list.
         """
         if not items:
             return
@@ -419,11 +415,9 @@ class BaseEngine(ABC):
                 nbytes += item.meta.nbytes + item.act.nbytes
             else:
                 nbytes += CACHE_OP_NBYTES * len(item)
-        fb = self.pool.acquire_fused_batch()
-        fb.items.extend(items)
-        fb.nbytes = nbytes
         send_transaction(
-            self.ep(), dest, TransactionType.FUSED, [(fb, fb.nbytes)]
+            self.ep(), dest, TransactionType.FUSED,
+            [(FusedBatch(items, nbytes), nbytes)],
         )
 
     def send_cache_ops(self, dest: int, ops: Sequence[CacheOp]) -> None:
@@ -475,7 +469,7 @@ def run_engine(
     engine_factory,
     backend: Backend,
     cluster: Cluster,
-    job,
+    job: GenerationJob,
     config: Optional[EngineConfig] = None,
 ) -> EngineReport:
     """Build a fresh simulation, run one generation, return its report.
@@ -485,16 +479,10 @@ def run_engine(
             (backend, network, config, metrics).
         backend: functional or oracle backend.
         cluster: the testbed (bound to a fresh kernel here).
-        job: prompt and token budget — a single :class:`GenerationJob`
-            (returns an :class:`EngineReport`, the historical behaviour),
-            or a :class:`repro.serve.scheduler.Workload` of many jobs
-            (returns a :class:`repro.metrics.report.ServingReport`).
+        job: the prompt and token budget.  Request streams go through
+            :func:`repro.serve.run.run_serving` instead.
         config: algorithm knobs; defaults to :class:`EngineConfig`.
     """
-    if not isinstance(job, GenerationJob):
-        from repro.serve.run import run_serving  # cycle avoidance
-
-        return run_serving(engine_factory, backend, cluster, job, config)
     config = config or EngineConfig()
     kernel = SimKernel()
     network = Network(kernel, cluster)

@@ -100,7 +100,3 @@ class IterativeEngine(PipelinedHeadMixin, BaseEngine):
             self.metrics.record_tokens(self.net.kernel.now, 1)
 
         return accepted
-
-    def _head(self, job: GenerationJob) -> Generator:
-        accepted = yield from self._generate(job)
-        self.finish(job, accepted)

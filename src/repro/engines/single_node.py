@@ -73,7 +73,3 @@ class SingleNodeEngine(BaseEngine):
             self.metrics.stats.dispatched += 1
 
         return accepted
-
-    def _head(self, job: GenerationJob) -> Generator:
-        accepted = yield from self._generate(job)
-        self.finish(job, accepted)

@@ -144,7 +144,3 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
             metrics.record_tokens(self.net.kernel.now, len(outcome.new_tokens))
 
         return accepted
-
-    def _head(self, job: GenerationJob) -> Generator:
-        accepted = yield from self._generate(job)
-        self.finish(job, accepted)

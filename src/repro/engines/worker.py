@@ -43,9 +43,9 @@ from repro.comm.payloads import (
     Activations,
     FusedBatch,
     FusedRun,
+    LogitsPayload,
     ShutdownMsg,
 )
-from repro.comm.pool import TransactionPool
 from repro.comm.transactions import TransactionType, recv_piece, send_transaction
 from repro.engines.backend import (
     Backend,
@@ -76,7 +76,6 @@ def pipeline_worker(
     node: NodeSpec,
     metrics: MetricsCollector,
     max_fuse: int = DEFAULT_MAX_FUSED_RUNS,
-    pool: Optional[TransactionPool] = None,
     injector=None,
 ) -> Generator:
     """Worker process for one pipeline rank.
@@ -92,9 +91,6 @@ def pipeline_worker(
         max_fuse: cap on decode runs drained into one fusion window
             (1 disables cross-run fusion; windows still absorb cache-op
             transactions between a run and its predecessor).
-        pool: the engine's shared :class:`TransactionPool`; payload records
-            this stage unpacks are released into it and outbound records
-            are acquired from it.
         injector: optional :class:`repro.faults.FaultInjector`; when set,
             stage compute times are scaled by any active straggler window
             for this rank.  ``None`` on fault-free runs (zero overhead).
@@ -102,8 +98,6 @@ def pipeline_worker(
     ep = net.endpoint(rank)
     kernel = net.kernel
     cancelled: Set[int] = set()
-    if pool is None:
-        pool = TransactionPool()
     #: Flipped when this generator is closed (shutdown or crash): any
     #: window sync-point callbacks still scheduled on the kernel become
     #: no-ops, so a crashed worker stops computing and sending mid-window
@@ -142,7 +136,7 @@ def pipeline_worker(
         yield from _worker_loop(
             ep, kernel, wake_tags, piece_tags, drain_cancels,
             net, rank, upstream, downstream, head_rank, backend, ws, node,
-            metrics, max_fuse, pool, injector, cancelled, busy, dead,
+            metrics, max_fuse, injector, cancelled, busy, dead,
         )
     finally:
         dead[0] = True
@@ -151,7 +145,7 @@ def pipeline_worker(
 def _worker_loop(
     ep, kernel, wake_tags, piece_tags, drain_cancels,
     net, rank, upstream, downstream, head_rank, backend, ws, node,
-    metrics, max_fuse, pool, injector, cancelled, busy, dead,
+    metrics, max_fuse, injector, cancelled, busy, dead,
 ) -> Generator:
     """Main receive/evaluate loop (split out so the crash flag wraps it)."""
     #: True while a fusion window's boundary events are in flight.
@@ -205,7 +199,7 @@ def _worker_loop(
             if ttype == TransactionType.DECODE:
                 meta = yield from recv_piece(ep, src, ttype)
                 act: Activations = yield from recv_piece(ep, src, ttype)
-                window.append(pool.acquire_fused_run(meta, act))
+                window.append(FusedRun(meta, act))
                 n_runs += 1
             elif ttype == TransactionType.CACHE_OP:
                 batch = yield from recv_piece(ep, src, ttype)
@@ -216,9 +210,6 @@ def _worker_loop(
                     window.append(item)
                     if isinstance(item, FusedRun):
                         n_runs += 1
-                # The batch container is dead once unpacked (its items are
-                # now owned by the window); recycle it.
-                pool.release_fused_batch(fb)
             else:  # pragma: no cover - exhaustive enum
                 raise RuntimeError(f"worker {rank}: unknown transaction {ttype}")
             if n_runs >= max_fuse or not ep.iprobe(src, Tag.START):
@@ -235,7 +226,7 @@ def _worker_loop(
             _schedule_window(
                 kernel, ep, window, backend, ws, node, metrics,
                 rank, downstream, head_rank, cancelled, busy, drain_cancels,
-                pool, injector, dead, on_window_done,
+                injector, dead, on_window_done,
             )
 
         if shutdown:
@@ -256,7 +247,7 @@ def _worker_loop(
 def _schedule_window(
     kernel, ep, window, backend, ws, node, metrics,
     rank, downstream, head_rank, cancelled, busy, drain_cancels,
-    pool, injector, dead, on_done,
+    injector, dead, on_done,
 ) -> None:
     """Schedule one fusion window's evaluation as kernel events.
 
@@ -280,9 +271,6 @@ def _schedule_window(
     drain_cancels()
 
     # Build the compute window, marking runs the stage will not evaluate.
-    # The inbound per-run records are dead once unpacked into StageRuns
-    # (the hidden tensor is extracted, the meta travels on by reference):
-    # recycle them through the engine's shared pool.
     items: List = []          # StageRun | List[CacheOp], dispatch order
     stage_runs: List[StageRun] = []
     n_ops = 0
@@ -296,8 +284,6 @@ def _schedule_window(
             sr = StageRun(it.meta, it.act.hidden, skip=skip)
             items.append(sr)
             stage_runs.append(sr)
-            pool.release_activations(it.act)
-            pool.release_fused_run(it)
         else:
             items.append(it)
             n_ops += len(it)
@@ -311,45 +297,44 @@ def _schedule_window(
             outs = window_state[0]
             for sr, hidden in zip(stage_runs, outs):
                 if sr.skip:
-                    payload = pool.acquire_logits(
+                    payload = LogitsPayload(
                         sr.meta.run_id, [], nbytes=CANCELLED_LOGITS_NBYTES,
                         cancelled=True,
                     )
                 else:
                     logits = backend.finalize_logits(ws, sr.meta, hidden)
-                    payload = pool.acquire_logits(
+                    payload = LogitsPayload(
                         sr.meta.run_id, logits,
                         nbytes=backend.logits_nbytes(len(logits)),
                     )
                 ep.send(payload, head_rank, Tag.LOGITS, nbytes=payload.nbytes)
         elif downstream is not None:
             outs = window_state[0]
-            fb = pool.acquire_fused_batch()
-            out_items = fb.items
+            out_items: List = []
             nbytes = 0.0
             oi = 0
             for it in items:
                 if isinstance(it, StageRun):
                     if it.skip:
-                        out = pool.acquire_activations(
+                        out = Activations(
                             it.meta.run_id, EMPTY_ACTIVATION_NBYTES, None,
                             cancelled=True,
                         )
                     else:
-                        out = pool.acquire_activations(
+                        out = Activations(
                             it.meta.run_id,
                             backend.activation_nbytes(it.meta.n_tokens),
                             outs[oi],
                         )
-                    out_items.append(pool.acquire_fused_run(it.meta, out))
+                    out_items.append(FusedRun(it.meta, out))
                     nbytes += it.meta.nbytes + out.nbytes
                     oi += 1
                 else:
                     out_items.append(it)
                     nbytes += 32.0 * len(it)
-            fb.nbytes = nbytes
             send_transaction(
-                ep, downstream, TransactionType.FUSED, [(fb, fb.nbytes)]
+                ep, downstream, TransactionType.FUSED,
+                [(FusedBatch(out_items, nbytes), nbytes)],
             )
         # One metrics call per window: busy seconds accumulated across
         # chunk and logits delays instead of per-delay calls.

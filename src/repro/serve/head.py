@@ -60,12 +60,7 @@ from repro.core.run_state import RequestContext, RunKind
 from repro.engines.backend import apply_cache_op
 from repro.metrics.collectors import MetricsCollector, RunStats
 from repro.metrics.report import RequestReport
-from repro.serve.scheduler import (
-    RequestScheduler,
-    post_match_cell_demand,
-    spec_dispatch_headroom,
-    unmaterialized_demand,
-)
+from repro.serve.scheduler import RequestScheduler, post_match_cell_demand
 from repro.util.fifo import SequencePool
 
 
@@ -160,9 +155,7 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
         Eviction ``seq_rm`` ops are pipelined *before* the admitted
         request's materialization and prefill transactions, so by the
         time its allocations execute on a worker the freed cells are
-        really free — reclaimable means reclaimable, on both policies.
-        Under the live policy the freed count is credited against the
-        (stale, in-flight) ``n_used`` reading for this sweep only.
+        really free — reclaimable means reclaimable.
 
         Two guards keep the eviction honest: nothing is evicted when
         even reclaiming *every* evictable cell could not close the gap
@@ -173,34 +166,19 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
         single job has always had — even when its own pinned match
         keeps ``budget.retained`` above zero.
         """
-        freed = 0
-
-        def ok(slack: int = 0) -> bool:
-            if not cfg.admission_live_cells:
-                if slack and budget.capacity is not None:
-                    return (
-                        budget.committed + budget.retained - slack + demand
-                        <= budget.capacity
-                    )
-                return budget.fits(demand)
-            pending = unmaterialized_demand(active.values(), cfg)
-            return budget.fits_live(
-                engine.worker_cells_used() + pending - freed - slack, demand
-            )
-
-        fit = ok()
+        fit = budget.fits(demand)
         if fit or cache is None:
             return fit
-        if active and not ok(slack=cache.evictable_cells()):
+        gap = budget.committed + budget.retained + demand - budget.capacity
+        if active and cache.evictable_cells() < gap:
             return False
-        while not ok():
+        while not budget.fits(demand):
             got, ops = cache.evict_lru_leaf()
             if not got:
                 break
-            freed += got
             budget.retained = cache.retained_cells
             engine.send_cache_ops(first_target, ops)
-        return ok() or not active
+        return budget.fits(demand) or not active
 
     def admit_ready() -> None:
         # Bounded caches (functional mode) cannot evict mid-flight, so
@@ -542,7 +520,6 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
                         # this flushed run; its partition was already
                         # released.
                         flushed.discard(payload.run_id)
-                        engine.pool.release_logits(payload)
                         continue
                     ctx = active[order.popleft()]
                     if ctx.fifo.peek().kind is RunKind.PREFILL:
@@ -564,7 +541,6 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
                             engine, ctx, payload, pending_ops,
                             pending_cancels, time_base=cum,
                         )
-                    engine.pool.release_logits(payload)
                     if not ctx.done and ctx.target_reached():
                         mark_done(ctx, pending_cancels)
                     if ctx.done and not ctx.fifo:
@@ -633,9 +609,6 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
                 # drafting resumes once the health EWMA decays through its
                 # low water mark (the stable window).
                 limit = 0
-            headroom = spec_dispatch_headroom(engine, active.values(), cfg)
-            if headroom is not None:
-                limit = min(limit, headroom)
             # The depth budget is shared over requests that can actually
             # draft — done-but-draining and un-prefilled requests must not
             # dilute a lone live request below its full historical depth.

@@ -83,53 +83,6 @@ def post_match_cell_demand(job: GenerationJob, config, cached_tokens: int) -> in
     return worst_case_cell_demand(job, config) - cached_tokens
 
 
-def unmaterialized_demand(active_contexts, config) -> int:
-    """Worst-case cells of admitted-but-not-yet-prefilled requests.
-
-    The live ``n_used`` admission signal lags dispatch: a request admitted
-    a moment ago has its prefill in flight and *no cells resident yet*, so
-    back-to-back admissions (closed-loop arrival bursts) would all see the
-    same stale occupancy.  Counting un-prefilled requests at their full
-    worst case closes that hole; once prefill logits return, the prompt's
-    cells are resident on every shard and the live signal takes over.
-    Prefix-cache matches are subtracted: matched positions never
-    materialize new cells, only sequence metadata.
-    """
-    return sum(
-        post_match_cell_demand(ctx.job, config, ctx.cached_tokens)
-        for ctx in active_contexts
-        if not ctx.prefilled
-    )
-
-
-def spec_dispatch_headroom(engine, active_contexts, config) -> Optional[int]:
-    """Speculative runs the draft scheduler may dispatch under live admission.
-
-    Static worst-case admission already reserves every request's full
-    speculative footprint, so batched rounds can never overflow there —
-    no throttle (None = unbounded).  The optimistic live-cells policy
-    reserves nothing for future growth, and a batched draft round grows
-    *every* request's speculation at once, so the round is capped to what
-    the live free-cell count can absorb: each dispatch materializes at
-    most ``microbatch_size`` fresh cells, and un-prefilled admissions
-    claim their full worst case (same lag rule as admission).  Every
-    in-flight speculative run is also charged ``microbatch_size`` cells —
-    deliberately conservative: the head cannot cheaply tell which runs'
-    cells are already resident (and so counted in ``worker_cells_used``),
-    and under-drafting near capacity only defers speculation, while
-    over-drafting overflows a cache that cannot evict mid-flight.
-    """
-    cap = engine.backend.worker_cell_capacity()
-    if cap is None or not config.admission_live_cells:
-        return None
-    inflight = sum(
-        ctx.n_spec_inflight for ctx in active_contexts
-    ) * config.microbatch_size
-    pending = unmaterialized_demand(active_contexts, config)
-    free = cap - engine.worker_cells_used() - inflight - pending
-    return max(free // config.microbatch_size, 0)
-
-
 @dataclass(frozen=True)
 class Workload:
     """A stream of jobs with an arrival trace.

@@ -13,6 +13,7 @@ from repro import (
     FunctionalBackend,
     GenerationJob,
     PipeInferEngine,
+    SingleNodeEngine,
     Workload,
     cluster_c,
     run_engine,
@@ -166,59 +167,36 @@ class TestMidFusionCancellation:
         assert not ws.cache.has_entry(3, 5)
 
 
-class TestLiveCellAdmission:
-    def test_outputs_and_safety_with_live_admission(self, tiny_target, tiny_draft):
-        """The live-cells policy (oracle-admission satellite) must change
-        only *when* requests are admitted — outputs stay identical and the
-        bounded cache never overflows (overflow would raise KVCacheError
-        and deadlock the simulation)."""
+class TestBoundedAdmission:
+    def test_closed_loop_outputs_under_static_admission(
+        self, tiny_target, tiny_draft
+    ):
+        """A bounded functional cache makes the static cell budget queue a
+        closed-loop burst; every request still emits exactly its greedy
+        single-node tokens and the cache never overflows (overflow would
+        raise KVCacheError and deadlock the simulation)."""
         kinds = ("wikitext", "code", "explain", "paper", "roleplay")
         jobs = tuple(
             GenerationJob(prompt=make_prompt(kinds[i % len(kinds)], length=24,
                                              vocab=128), n_generate=12)
             for i in range(6)
         )
-        workload = Workload(jobs=jobs)  # closed loop: admission must queue
-        reports = {}
-        for live in (False, True):
-            backend = FunctionalBackend(tiny_target, tiny_draft, n_cells=120)
-            reports[live] = run_serving(
-                PipeInferEngine, backend, cluster_c(3), workload,
-                functional_cfg(admission_live_cells=live,
-                               n_seq_partitions=16, lookahead_cap=8),
-            )
-        assert reports[True].outputs() == reports[False].outputs()
-        assert sum(r.queue_wait for r in reports[False].requests) > 0, (
+        cfg = functional_cfg(n_seq_partitions=16, lookahead_cap=8)
+        report = run_serving(
+            PipeInferEngine,
+            FunctionalBackend(tiny_target, tiny_draft, n_cells=120),
+            cluster_c(3), Workload(jobs=jobs), cfg,
+        )
+        assert sum(r.queue_wait for r in report.requests) > 0, (
             "workload never queued: test is vacuous"
         )
-
-    def test_live_admission_admits_earlier(self, tiny_target, tiny_draft):
-        """With one active request, the static policy cannot admit a
-        second until the first *releases* (its committed demand never
-        shrinks); the live policy admits as soon as real occupancy plus
-        the remaining worst-case growth leaves room."""
-        jobs = tuple(
-            GenerationJob(prompt=make_prompt("wikitext", length=24, vocab=128),
-                          n_generate=16)
-            for _ in range(2)
-        )
-        # demand = 24 + 16 + 8 + 4 = 52 cells each: the static policy
-        # cannot commit both (104 > 110 is false... the cap is chosen so
-        # 2*demand exceeds it but the real concurrent peak fits).
-        workload = Workload(jobs=jobs)
-        admitted = {}
-        for live in (False, True):
-            backend = FunctionalBackend(tiny_target, tiny_draft, n_cells=100)
-            report = run_serving(
-                PipeInferEngine, backend, cluster_c(3), workload,
-                functional_cfg(admission_live_cells=live,
-                               n_seq_partitions=16, lookahead_cap=8),
+        for i, job in enumerate(jobs):
+            reference = run_engine(
+                SingleNodeEngine,
+                FunctionalBackend(tiny_target, tiny_draft, n_cells=512),
+                cluster_c(1), job, cfg,
             )
-            admitted[live] = report.requests[1].admitted_at
-            assert all(r.n_tokens == 16 for r in report.requests)
-        assert admitted[True] < admitted[False], (
-            f"live admission should admit request 1 earlier: {admitted}"
-        )
+            assert report.outputs()[i] == reference.tokens
 
     def test_oracle_mode_bounded_admission(self):
         """An oracle backend with a cell budget throttles admission through
@@ -233,8 +211,7 @@ class TestLiveCellAdmission:
             for _ in range(6)
         )
         report = run_serving(
-            PipeInferEngine, backend, cluster, Workload(jobs=jobs),
-            EngineConfig(admission_live_cells=True),
+            PipeInferEngine, backend, cluster, Workload(jobs=jobs)
         )
         assert report.token_counts() == {i: 32 for i in range(6)}
         assert sum(r.queue_wait for r in report.requests) > 0

@@ -149,13 +149,6 @@ class TestSequentialBaselines:
             single = run_engine(engine, oracle_backend, cluster, job)
             assert report.outputs()[i] == single.tokens
 
-    def test_run_engine_accepts_workload(self, oracle_backend, cluster, jobs):
-        """The backward-compatible entry point dispatches on input type."""
-        report = run_engine(
-            PipeInferEngine, oracle_backend, cluster, Workload(jobs=jobs[:2])
-        )
-        assert report.n_requests == 2
-
 
 class TestFunctionalServing:
     """Real tiny-transformer math: KV partitioning across requests."""

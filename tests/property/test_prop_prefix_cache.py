@@ -140,18 +140,6 @@ class TestOnEqualsOff:
         )
         assert on.prefix_hit_tokens >= 0  # completed without overflow
 
-    def test_live_cells_admission_policy(self, models):
-        template = SharedPrefixTemplate(shared_len=24, unique_len=6, seed=8)
-        jobs = [
-            GenerationJob(prompt=p, n_generate=8)
-            for p in template.prompts(6, VOCAB)
-        ]
-        on = assert_on_equals_off(
-            models, jobs, min_match_tokens=8, n_cells=256,
-            admission_live_cells=True, max_active=2,
-        )
-        assert on.prefix_hit_tokens > 0
-
     @pytest.mark.parametrize("seed", range(4))
     def test_random_workloads(self, models, seed):
         """Randomized mix: shared groups, unique prompts, varying lengths

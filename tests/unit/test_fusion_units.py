@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.testbed import cluster_c
-from repro.core.multibuffer import CellBudget
 from repro.engines.backend import OracleBackend
 from repro.metrics.collectors import MetricsCollector, RunStats
 from repro.models.kv_cache import KVCache
 from repro.models.layers import apply_rope, apply_rope_tables, rope_frequencies, rope_tables
 from repro.models.zoo import get_pair
-from repro.serve.scheduler import unmaterialized_demand, worst_case_cell_demand
 
 
 class TestStageChunksMulti:
@@ -40,46 +38,6 @@ class TestStageChunksMulti:
         assert len(backend.stage_chunks_multi(node, (0, 11), counts)) == len(
             backend.stage_chunks(node, (0, 11), sum(counts))
         )
-
-
-class TestLiveCellBudget:
-    def test_fits_live_uses_real_occupancy(self):
-        budget = CellBudget(100)
-        budget.admit(0, 90)  # static worst case would block everything
-        assert not budget.fits(20)
-        assert budget.fits_live(30, 20)       # real usage leaves room
-        assert not budget.fits_live(85, 20)   # real usage does not
-
-    def test_fits_live_alone_escape_hatch(self):
-        budget = CellBudget(10)
-        assert budget.fits_live(0, 999)  # nothing admitted: surface overflow
-        budget.admit(0, 5)
-        assert not budget.fits_live(5, 999)
-
-    def test_fits_live_unbounded(self):
-        assert CellBudget(None).fits_live(10**9, 10**9)
-
-
-class TestUnmaterializedDemand:
-    def test_counts_only_unprefilled(self, functional_config):
-        class Ctx:
-            def __init__(self, job, prefilled, cached_tokens=0):
-                self.job = job
-                self.prefilled = prefilled
-                self.cached_tokens = cached_tokens
-
-        class Job:
-            prompt = tuple(range(10))
-            n_generate = 6
-
-        demand = worst_case_cell_demand(Job(), functional_config)
-        ctxs = [Ctx(Job(), False), Ctx(Job(), True), Ctx(Job(), False)]
-        assert unmaterialized_demand(ctxs, functional_config) == 2 * demand
-        assert unmaterialized_demand([], functional_config) == 0
-        # Prefix-cache matches never materialize new cells: the matched
-        # positions are subtracted from an unprefilled request's demand.
-        cached = [Ctx(Job(), False, cached_tokens=4)]
-        assert unmaterialized_demand(cached, functional_config) == demand - 4
 
 
 class TestRopeTables:
