@@ -214,14 +214,17 @@ class Endpoint:
                 return True
         return self._peek(source, tag) is not None
 
-    def wait_for_arrival(self, max_wait=None) -> Generator[Any, Any, bool]:
-        """Park until any message is delivered to this rank, or ``max_wait``.
+    def wait_for_arrival(self, until=None) -> Generator[Any, Any, bool]:
+        """Park until any message is delivered to this rank, or sim time ``until``.
 
-        Returns True if a message arrived, False on timeout.  Used by the
-        head node's continuous-speculation loop to idle when the
-        confidence cutoff halts drafting and no logits are waiting.
-        ``max_wait=None`` waits indefinitely (no timeout event) — correct
-        when in-flight pipeline work guarantees a future arrival.
+        Returns True if a message arrived (or one was already available),
+        False when the deadline passed first.  ``until`` is an absolute
+        instant, not a duration: the single-job head arms it at the
+        precomputed start of the draft retry that would clear its cutoff,
+        and a relative wait would re-round (``now + (until - now)`` need
+        not equal ``until``).  ``until=None`` waits indefinitely, with no
+        timer event — correct whenever in-flight pipeline work guarantees
+        a future arrival.
         """
         if self._available:
             return True
@@ -230,13 +233,13 @@ class Endpoint:
         fut.detail = f"wait_for_arrival at rank {self.rank}"
         self._arrival_watchers.append(fut)
 
-        if max_wait is not None:
+        if until is not None:
 
             def timeout() -> None:
                 if not fut.resolved:
                     fut.resolve(False)
 
-            kernel.call_after(max_wait, timeout)
+            kernel.call_at(until, timeout)
         result = yield fut
         return bool(result)
 

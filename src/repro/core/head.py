@@ -12,9 +12,11 @@ continuous asynchronous speculation:
 3. else, draft the next speculative micro-batch continuing the chain and
    dispatch it into the pipeline under a fresh KV sequence partition,
    with its context copy-ops pipelined ahead of it;
-4. else (cutoff halted drafting / no free partition / lookahead cap),
-   idle briefly waiting for an arrival, decaying the cutoff when the halt
-   came from draft confidence.
+4. else wait until there is new work: at the lookahead cap or with no
+   free partition, for a message; when draft confidence halted drafting,
+   for a message or for the retry that would clear the decaying cutoff
+   (:func:`idle_below_cutoff` replays the paper's ``idle_poll`` retries
+   from one timed wait).
 
 All per-request logic operates on a :class:`RequestContext`, so the same
 functions drive both this single-job head and the multi-request serving
@@ -24,6 +26,7 @@ speculative runs of many live requests through one pipeline.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Generator, List, Sequence, Tuple
 
 from repro.cluster.kernel import Delay
@@ -35,7 +38,7 @@ from repro.comm.payloads import (
     FusedRun,
     TokenSlot,
 )
-from repro.core.continuous import CutoffController
+from repro.core.continuous import CutoffController, retry_windows
 from repro.core.multibuffer import MultibufferManager
 from repro.core.run_state import RequestContext, RunFIFO, RunKind, RunRecord
 from repro.engines.base import GenerationJob
@@ -488,6 +491,7 @@ def start_draft_round(engine, ctxs: Sequence[RequestContext], on_complete) -> No
         keep = []
         for ctx, (token, conf) in zip(participants, results):
             if conf < ctx.cutoff.current:
+                ctx.halted_conf = conf
                 continue
             ctx.drafted[len(ctx.chain)] = token
             ctx.chain.append(token)
@@ -598,6 +602,50 @@ def draft_and_dispatch(engine, ctx: RequestContext) -> Generator:
 # ---------------------------------------------------------------------------
 
 
+def idle_below_cutoff(engine, ctx: RequestContext) -> Generator:
+    """Idle after a draft attempt failed below the cutoff (IV-B2).
+
+    The paper's head retries every ``idle_poll``: wait, draft one pass,
+    fail, decay the cutoff, until logits arrive or a proposal clears.  The
+    chain tip cannot move before a message arrives, so every retry would
+    propose the same token with confidence ``ctx.halted_conf``, and the
+    whole sequence is known in advance.  This waits once: for a message,
+    or for the start of the first retry that would succeed.  On waking it
+    charges the retries that started before now, each as the loop did:
+    one draft-batch sample, ``add_busy`` of one pass, one decay.  A retry
+    whose pass was running when the message arrived is charged too, and
+    the head resumes where that pass ends, as the loop would.  A message
+    at a retry's start instant counts as arriving first.
+    """
+    cfg = engine.config
+    kernel = engine.net.kernel
+    metrics = engine.metrics
+    cutoff = ctx.cutoff
+    cutoff.on_failed_idle()
+    failed_at = kernel.now
+    draft_time = engine.backend.draft_batch_time(1)
+    k = cutoff.failed_attempts_before(ctx.halted_conf)
+    until = None
+    if k is not None:
+        retries = retry_windows(failed_at, draft_time, cfg.idle_poll)
+        until, _ = next(islice(retries, k, None))
+    yield from engine.ep().wait_for_arrival(until)
+
+    now = kernel.now
+    for start, end in retry_windows(failed_at, draft_time, cfg.idle_poll):
+        if start >= now:
+            return
+        metrics.record_draft_batch(1)
+        metrics.add_busy(0, draft_time)
+        cutoff.on_failed_idle()
+        if now <= end:
+            break
+    if now < end:
+        fut = kernel.future("draft_pass")
+        kernel.call_at(end, fut.resolve)
+        yield fut
+
+
 def pipeinfer_head(engine, job: GenerationJob) -> Generator:
     """Head process; ``engine`` is the owning :class:`PipeInferEngine`."""
     be = engine.backend
@@ -645,14 +693,13 @@ def pipeinfer_head(engine, job: GenerationJob) -> Generator:
         # ---- continuous speculation ---------------------------------------
         if spec_allowed(engine, ctx):
             proposed = yield from draft_and_dispatch(engine, ctx)
-            if proposed:
-                continue
-            # Draft confidence halted speculation with nothing waiting.
-            ctx.cutoff.on_failed_idle()
-            yield from ep.wait_for_arrival(cfg.idle_poll)
+            if not proposed:
+                # Draft confidence halted speculation.
+                yield from idle_below_cutoff(engine, ctx)
             continue
 
-        # Partitions exhausted or lookahead cap: wait for the pipeline.
-        yield from ep.wait_for_arrival(cfg.idle_poll)
+        # Partitions exhausted or lookahead cap: runs are in flight, so
+        # only their logits can change what the head may do next.
+        yield from ep.wait_for_arrival()
 
     engine.finish(job, ctx.accepted)

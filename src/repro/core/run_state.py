@@ -231,6 +231,9 @@ class RequestContext:
             discarded unchecked.
         n_spec_inflight: live speculative runs (Figure 8's non-continuous
             ablation allows at most one).
+        halted_conf: confidence of the proposal that last dropped this
+            chain out of a draft round: the value an idle head replays the
+            cutoff decay against.
         arrival: simulated arrival timestamp (0 for single-job).
         admitted_at: when the scheduler admitted the request.
         finished_at: when the final token was accepted and in-flight runs
@@ -265,6 +268,7 @@ class RequestContext:
     metrics: Any
     drafted: Dict[int, int] = field(default_factory=dict)
     n_spec_inflight: int = 0
+    halted_conf: float = 0.0
     arrival: float = 0.0
     admitted_at: Optional[float] = None
     finished_at: Optional[float] = None

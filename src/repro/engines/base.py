@@ -62,10 +62,11 @@ class EngineConfig:
     #: Figure 8 ablation switches.
     enable_cancellation: bool = True
     enable_continuous: bool = True
-    #: Single-job head's idle wait when drafting is paused: how long the
-    #: PipeInfer head (``core/head.py``) waits for logits before decaying
-    #: its confidence cutoff again — the paper's cutoff-decay cadence.
-    #: The serving head never polls on it.
+    #: Cutoff-decay cadence in simulated time (IV-B2): while drafting is
+    #: halted below the cutoff, the single-job head retries one draft
+    #: pass every ``idle_poll`` and decays the cutoff per failure.  The
+    #: retries are replayed from one timed wait (``core/head.py``), so
+    #: the cadence costs no host events.  The serving head never uses it.
     idle_poll: float = 2e-4
     #: KV cells per worker shard (functional mode sizing).
     n_cells: int = 2048
