@@ -369,7 +369,8 @@ def bench_serving(smoke: bool):
     CI smoke run — always exercises the batched draft plane and the
     burst-widened fusion path.  ``resumes_per_message`` is the kernel's
     process-resume count over delivered messages — deterministic, and
-    gated below 0.35 (one resume per delivery *event*, not per message).
+    gated below ``CEILINGS`` (one resume per delivery *event*, not per
+    message).
     """
     n_requests = 3 if smoke else 8
     n_generate = 8 if smoke else 24
@@ -749,15 +750,25 @@ WIDTH_FLOORS = {
 
 #: Deterministic ceilings the gate enforces (value must stay *below*):
 #: the batched inbox hand-off plus the flattened resume path must keep
-#: process resumes per delivered message under 0.35 in the serving
-#: scenario (one resume per delivery event, ~1.0 per message pre-PR-8).
-#: The ratio derives from kernel counters over a deterministic simulated
-#: run — no host scaling applies.  The smoke scenario's ceiling is
-#: looser: per-process spawn and shutdown resumes amortize over ~10x
-#: fewer delivered messages (measured 0.41 vs the full run's 0.27).
+#: process resumes per delivered message low in the serving scenario
+#: (one resume per delivery event, ~1.0 per message pre-PR-8).  The
+#: ratio derives from kernel counters over a deterministic simulated run
+#: — no host scaling applies.  The smoke scenario's ceiling is looser:
+#: per-process spawn and shutdown resumes amortize over ~10x fewer
+#: delivered messages.
+#:
+#: Transaction start markers became announcements instead of messages,
+#: which removed about a third of the delivered messages (the
+#: denominator) but no resume.  The ceilings keep the absolute resume
+#: budgets they had over the old message counts, rounded down:
+#:
+#: - full:  0.35 x 1030 messages = 360.5 resumes; 360.5 / 739 = 0.488 -> 0.48
+#:   (measured 273 / 739 = 0.37, was 276 / 1030 = 0.27);
+#: - smoke: 0.5 x 143 messages = 71.5 resumes; 71.5 / 95 = 0.753 -> 0.75
+#:   (measured 56 / 95 = 0.59, was 59 / 143 = 0.41).
 CEILINGS = {
-    "serving_resumes_per_message": 0.35,
-    "smoke_serving_resumes_per_message": 0.5,
+    "serving_resumes_per_message": 0.48,
+    "smoke_serving_resumes_per_message": 0.75,
 }
 
 

@@ -19,11 +19,11 @@ is still enforced by the MPI layer on top (non-overtaking), matching the
 MPI standard's guarantee.
 
 Delivery is *coalesced*: all messages on one link that arrive at the same
-simulated instant (a FUSED burst's pieces, a transaction's START marker plus
-its payload) are drained by a single kernel event instead of one ``call_at``
-per message.  Within one instant and one link, callbacks fire in transmit
-order — the same order the per-message events fired in — so per-stream
-delivery order is unchanged.
+simulated instant (equal-sized records a window sends together, such as the
+last stage's logits records or a burst of cancel signals) are drained by a
+single kernel event instead of one ``call_at`` per message.  Within one
+instant and one link, callbacks fire in transmit order — the same order the
+per-message events fired in — so per-stream delivery order is unchanged.
 
 A pending entry is either an ``(endpoint, message)`` pair (network
 traffic) or a raw callback (reliability-layer acks, retransmits,
@@ -85,10 +85,11 @@ class Link:
 
     Statistics separate the three ways a message can take the eager lane:
     size (at or below ``eager_threshold``), an explicit ``eager_hint``
-    (control markers — counted in ``n_eager_hinted``/``hinted_bytes``), or
-    an infinite-bandwidth link, where the bulk lane cannot serialize and
-    every message is effectively eager (previously such traffic inflated
-    ``bulk_bytes`` while ``busy_until`` never advanced).
+    (control transactions and cancels — counted in
+    ``n_eager_hinted``/``hinted_bytes``), or an infinite-bandwidth link,
+    where the bulk lane cannot serialize and every message is effectively
+    eager (previously such traffic inflated ``bulk_bytes`` while
+    ``busy_until`` never advanced).
     ``n_delivery_events`` counts kernel events fired for the coalesced
     delivery path; ``n_messages - n_delivery_events`` messages rode along
     on another message's event.
@@ -120,29 +121,26 @@ class Link:
                 one endpoint are handed over in a single
                 ``endpoint._deliver_batch(...)`` call.
             eager_hint: force the eager lane regardless of size (used for
-                zero-byte control markers).
+                small control transactions and cancellation signals).
 
         Returns:
             The simulated arrival time.
         """
-        now = self._kernel.now
         self.n_messages += 1
         spec = self.spec
-        infinite = spec.bandwidth == float("inf")
-        wire_time = 0.0 if infinite else nbytes / spec.bandwidth
-        if eager_hint or infinite or nbytes <= spec.eager_threshold:
+        if eager_hint or spec.bandwidth == float("inf") or nbytes <= spec.eager_threshold:
             # Eager lane: latency + own serialization, no queueing behind
             # bulk.  Infinite-bandwidth links cannot serialize, so all their
             # traffic is eager by construction.
-            arrival = now + spec.latency + wire_time
+            arrival = self.eager_arrival(nbytes)
             self.eager_bytes += nbytes
             if eager_hint:
                 self.n_eager_hinted += 1
                 self.hinted_bytes += nbytes
         else:
             # Bulk lane: wait for the lane, then serialize.
-            start = max(now, self._bulk_free_at)
-            self._bulk_free_at = start + wire_time
+            start = max(self._kernel.now, self._bulk_free_at)
+            self._bulk_free_at = start + nbytes / spec.bandwidth
             arrival = self._bulk_free_at + spec.latency
             self.bulk_bytes += nbytes
         pending = self._pending.get(arrival)
@@ -152,6 +150,20 @@ class Link:
         else:
             pending.append(on_delivered)
         return arrival
+
+    def eager_arrival(self, nbytes: float) -> float:
+        """Instant an ``nbytes`` message sent now on the eager lane arrives.
+
+        The eager branch of :meth:`transmit` uses exactly this expression,
+        and so does the transaction protocol when it charges an
+        announcement without sending it
+        (:func:`~repro.comm.transactions.send_transaction`): the modelled
+        marker arrival is bit-equal to the one a real marker message
+        would have had.  On an infinite-bandwidth link the wire time
+        ``nbytes / inf`` is exactly ``0.0``.
+        """
+        spec = self.spec
+        return self._kernel.now + spec.latency + nbytes / spec.bandwidth
 
     def _drain(self) -> None:
         """Deliver every message that arrives at the current instant.

@@ -1,9 +1,12 @@
 """Message records and the tag space.
 
-Tags mirror the transaction types of the reference implementation: a
-transaction-start tag plus one tag per transaction type, so that all sends
-within a transaction share the type's tag and inherit MPI's non-overtaking
-guarantee (paper Section IV-A2).
+Tags mirror the transaction types of the reference implementation: one tag
+per transaction type, so that all sends within a transaction share the
+type's tag and inherit MPI's non-overtaking guarantee (paper Section
+IV-A2), plus out-of-band tags for cancels and logits.  There is no
+transaction-start tag: the start marker is a modelled announcement, not a
+message (see :mod:`repro.comm.transactions`), and the tag a piece travels
+on tells its transaction type.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ ANY_TAG = -1
 class Tag(enum.IntEnum):
     """MPI tag space used by all engines."""
 
-    #: Announces a transaction; payload is the TransactionType.
-    START = 1
     #: Decode transaction traffic: run metadata, then activation tensors.
     DECODE = 2
     #: Pipelined KV-cache operation commands.

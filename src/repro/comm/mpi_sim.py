@@ -16,6 +16,13 @@ standard's wording):
   consuming it.
 - **Wildcards**: ``ANY_SOURCE`` / ``ANY_TAG`` match the earliest available
   message.
+- **Announcements**: a modelled, message-free notice that something of a
+  given kind is on its way.  :meth:`Endpoint.announce` stamps it on the
+  receiver with the instant an eager marker of the given size would have
+  arrived; the receiver asks whether the oldest one from a sender is due
+  yet.  The transaction protocol
+  (:mod:`repro.comm.transactions`) announces every transaction this way
+  instead of sending a start message.
 
 Blocking calls are generators: engine code runs inside kernel processes and
 uses ``msg = yield from endpoint.recv(...)``.
@@ -77,6 +84,9 @@ class Endpoint:
         #: heads poll for logits between draft passes, so with fused
         #: dispatch the probe path runs far more often than it matches.
         self._n_avail: Dict[int, int] = {}
+        #: Pending announcements per sender, oldest first:
+        #: ``(announce_at, kind)``.
+        self._announced: Dict[int, Deque[Tuple[float, Any]]] = {}
 
     # -- sending -------------------------------------------------------------
 
@@ -103,7 +113,40 @@ class Endpoint:
         """
         return self._net._transmit(self.rank, dest, tag, payload, nbytes, eager)
 
+    def announce(self, dest: int, kind: Any, nbytes: float) -> float:
+        """Announce ``kind`` to ``dest`` without sending a message.
+
+        The announcement becomes due at the instant an eager ``nbytes``
+        message sent now would arrive
+        (:meth:`~repro.cluster.interconnect.Link.eager_arrival`), so its
+        latency is charged but it costs no delivery event and cannot be
+        lost.  Returns that instant.
+        """
+        net = self._net
+        if not 0 <= dest < net.size:
+            raise ValueError(f"invalid destination rank {dest}")
+        at = net.cluster.link(self.rank, dest).eager_arrival(nbytes)
+        announced = net.endpoints[dest]._announced
+        fifo = announced.get(self.rank)
+        if fifo is None:
+            fifo = announced[self.rank] = deque()
+        fifo.append((at, kind))
+        return at
+
     # -- receiving -----------------------------------------------------------
+
+    def announced(self, source: int) -> bool:
+        """True when the oldest pending announcement from ``source`` is due."""
+        fifo = self._announced.get(source)
+        return bool(fifo) and fifo[0][0] <= self._net.kernel.now
+
+    def take_announcement(self, source: int) -> Any:
+        """Consume the oldest pending announcement from ``source``.
+
+        Due or not: a delivered message that the announcement covers is
+        proof enough that it was made.
+        """
+        return self._announced[source].popleft()[1]
 
     def recv(
         self, source: int = ANY_SOURCE, tag=ANY_TAG
@@ -132,6 +175,12 @@ class Endpoint:
         without further generator steps.
         """
         if not self._available:
+            return []
+        if (
+            tag != ANY_TAG
+            and not isinstance(tag, (tuple, frozenset, set, list))
+            and not self._n_avail.get(tag)
+        ):
             return []
         out: List[Message] = []
         keep: List[Message] = []
@@ -176,7 +225,7 @@ class Endpoint:
         self, source: int = ANY_SOURCE, tag=ANY_TAG
     ) -> Generator[Any, Any, Message]:
         """Blocking probe: waits for a match, returns it *without* consuming."""
-        msg = self._peek(source, tag)
+        msg = self.peek(source, tag)
         if msg is not None:
             return msg
         fut = self._net.kernel.future(f"probe@{self.rank}")
@@ -195,6 +244,14 @@ class Endpoint:
         """
         self._pending.append(_RecvRequest(source, tag, fut, consume=False))
 
+    def peek(self, source: int = ANY_SOURCE, tag=ANY_TAG) -> Optional[Message]:
+        """Non-blocking probe returning the earliest matching available
+        message without consuming it, or ``None``."""
+        for msg in self._available:
+            if (source in (ANY_SOURCE, msg.src)) and _tag_matches(tag, msg.tag):
+                return msg
+        return None
+
     def iprobe(self, source: int = ANY_SOURCE, tag=ANY_TAG) -> bool:
         """Non-blocking probe: True when a matching message is available.
 
@@ -212,7 +269,7 @@ class Endpoint:
                 return False
             if source == ANY_SOURCE:
                 return True
-        return self._peek(source, tag) is not None
+        return self.peek(source, tag) is not None
 
     def wait_for_arrival(self, until=None) -> Generator[Any, Any, bool]:
         """Park until any message is delivered to this rank, or sim time ``until``.
@@ -244,12 +301,6 @@ class Endpoint:
         return bool(result)
 
     # -- internals -----------------------------------------------------------
-
-    def _peek(self, source: int, tag) -> Optional[Message]:
-        for msg in self._available:
-            if (source in (ANY_SOURCE, msg.src)) and _tag_matches(tag, msg.tag):
-                return msg
-        return None
 
     def _take(self, source: int, tag) -> Optional[Message]:
         for i, msg in enumerate(self._available):
@@ -309,19 +360,21 @@ class Endpoint:
     def reset_after_crash(self) -> None:
         """Forget all communication state after the owning rank crashes.
 
-        Pending receives, stashed arrivals, and undelivered available
-        messages die with the process.  The expected sequence numbers jump
-        forward to the *sender-side* counters, so every pre-crash in-flight
-        message (including retransmits of lost ones) arrives stale, is
-        dropped, and is cumulatively re-acked — the sender's retransmit
-        queue self-cleans.  Messages sent after the reset are delivered to
-        the restarted process in order, as usual.
+        Pending receives, stashed arrivals, undelivered available
+        messages and pending announcements die with the process.  The
+        expected sequence numbers jump forward to the *sender-side*
+        counters, so every pre-crash in-flight message (including
+        retransmits of lost ones) arrives stale, is dropped, and is
+        cumulatively re-acked — the sender's retransmit queue
+        self-cleans.  Messages sent after the reset are delivered to the
+        restarted process in order, as usual.
         """
         self._available.clear()
         self._stash.clear()
         self._pending.clear()
         self._arrival_watchers.clear()
         self._n_avail.clear()
+        self._announced.clear()
         net = self._net
         for (src, dst, tag), seq in net._seq.items():
             if dst == self.rank:

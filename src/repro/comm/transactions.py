@@ -1,15 +1,30 @@
 """PipeInfer's ordered transaction protocol (paper Fig. 2).
 
-A *transaction* is an atomic pipeline operation: a start message on the
-START tag announcing the transaction type, followed by the operation's
-payload messages on the type's own tag.  Because MPI point-to-point
-messages are non-overtaking per (sender, receiver, tag), and because each
-receiver processes transactions serially — receive start, invoke the
-type's handler, which receives exactly the payloads of that transaction —
-pipeline operations execute in a deterministic order on every node.
+A *transaction* is an atomic pipeline operation: a start marker announcing
+the transaction type, followed by the operation's payload messages on the
+type's own tag.  Because MPI point-to-point messages are non-overtaking per
+(sender, receiver, tag), and because each receiver processes transactions
+serially — take the next announced type, invoke the type's handler, which
+receives exactly the payloads of that transaction — pipeline operations
+execute in a deterministic order on every node.
 
-Engines use :func:`send_transaction` to emit a whole transaction and
-receive-side handlers that pull their payloads with tag-specific receives.
+The start marker is modelled, not sent.  :func:`send_transaction` records
+an *announcement* on the receiver
+(:meth:`~repro.comm.mpi_sim.Endpoint.announce`): the type plus the instant
+the 16-byte eager marker would have arrived.  Only the payload pieces
+travel, still on the type's tag, so every piece carries its type.  The
+receiver keeps one announcement FIFO per sender, in send order:
+
+- ``Endpoint.take_announcement(src)`` pops the oldest one — the type of
+  the next transaction to dispatch.  A delivered piece proves its
+  transaction was announced, so a receiver woken by a piece never waits
+  for the marker.
+- ``Endpoint.announced(src)`` says whether the oldest one is due, i.e.
+  whether the marker would have arrived by now.  Fusion windows use it to
+  decide whether to wait for one more transaction.
+
+The marker's latency is still charged, but it costs no message, no
+delivery event and no ack, and it cannot be lost.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ class TransactionType(enum.IntEnum):
     FUSED = Tag.FUSED
 
 
-#: Modeled wire size of a transaction-start message (type id + header).
+#: Modeled wire size of a transaction-start marker (type id + header).
 START_NBYTES = 16.0
 
 
@@ -49,7 +64,7 @@ def send_transaction(
     pieces: Sequence[Tuple[Any, float]],
     eager: bool = False,
 ) -> None:
-    """Send a start message followed by the transaction's payload pieces.
+    """Announce a transaction, then send its payload pieces.
 
     Args:
         ep: sender endpoint.
@@ -60,15 +75,10 @@ def send_transaction(
             small control transactions so they are not delayed behind bulk
             activation transfers).
     """
-    ep.send(ttype, dest, Tag.START, nbytes=START_NBYTES, eager=True)
+    ep.announce(dest, ttype, START_NBYTES)
+    tag = int(ttype)
     for payload, nbytes in pieces:
-        ep.send(payload, dest, int(ttype), nbytes=nbytes, eager=eager)
-
-
-def recv_start(ep: Endpoint, source: int) -> Generator[Any, Any, TransactionType]:
-    """Receive the next transaction-start message from ``source``."""
-    msg = yield from ep.recv(source, Tag.START)
-    return TransactionType(msg.payload)
+        ep.send(payload, dest, tag, nbytes=nbytes, eager=eager)
 
 
 def recv_piece(ep: Endpoint, source: int, ttype: TransactionType) -> Generator[Any, Any, Any]:

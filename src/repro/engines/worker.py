@@ -2,9 +2,11 @@
 
 A worker rank loops on its mailbox:
 
-- transaction **starts** from its upstream neighbor dispatch to the typed
-  handler (decode, cache op, shutdown) — strictly in arrival order, which
-  MPI non-overtaking makes deterministic (paper Fig. 2);
+- **transactions** from its upstream neighbor dispatch to the typed
+  handler (decode, cache op, fused window, shutdown) — strictly in send
+  order, read from the sender's announcement FIFO
+  (:mod:`repro.comm.transactions`), while MPI non-overtaking keeps each
+  type's pieces in order (paper Fig. 2);
 - **cancellation signals** (their own tag, eager lane) are recorded
   whenever they arrive and are also *probed between compute chunks* — the
   paper's "thread synchronization points" — letting a node abandon a
@@ -123,12 +125,10 @@ def pipeline_worker(
             record_cancel(cmsg.payload.run_id)
 
     # Receiver discipline: wake on payload *pieces* (or out-of-band
-    # cancels), not on Tag.START.  The 16-byte start marker outruns its
-    # payload pieces on the eager lane, so a worker parked on the piece
-    # tags finds both the start and its first piece already in the mailbox
-    # when it resumes — one park per transaction instead of one per
-    # message.  The start marker still sequences dispatch: it is always
-    # consumed first, oldest first.
+    # cancels) — one park per transaction.  Start markers are announcements,
+    # not messages: a delivered piece proves its sender announced the
+    # transaction, and the sender's announcement FIFO, oldest first, still
+    # sequences dispatch when pieces of different types overtake each other.
     wake_tags = (Tag.CANCEL, Tag.DECODE, Tag.CACHE_OP, Tag.FUSED, Tag.CONTROL)
     piece_tags = (Tag.DECODE, Tag.CACHE_OP, Tag.FUSED, Tag.CONTROL)
 
@@ -177,17 +177,22 @@ def _worker_loop(
         elif not ep.iprobe(ANY_SOURCE, wake_tags):
             yield from ep.probe(ANY_SOURCE, wake_tags)
         drain_cancels()
-        if not ep.iprobe(ANY_SOURCE, Tag.START):
-            if not ep.iprobe(ANY_SOURCE, piece_tags):
-                continue  # pure-cancel wake: recorded above, nothing else
-            # A piece outran its start marker (the 8-byte shutdown frame,
-            # or fault jitter): park for the start itself.
-        msg = yield from ep.recv(ANY_SOURCE, Tag.START)
-        src = msg.src
-        ttype = TransactionType(msg.payload)
+        piece = ep.peek(ANY_SOURCE, piece_tags)
+        if piece is not None:
+            # The piece's sender announced its oldest transaction no later
+            # than the piece itself arrived: dispatch that one.
+            src = piece.src
+        elif ep.announced(upstream):
+            # Woken by a cancel after a transaction was announced but
+            # before its payload landed: dispatch it and wait for the
+            # payload, exactly as if its start marker had been received.
+            src = upstream
+        else:
+            continue  # pure-cancel wake: recorded above, nothing else
+        ttype = ep.take_announcement(src)
 
-        # ---- fusion window: drain this transaction plus everything already
-        # waiting from the same sender, in arrival order --------------------
+        # ---- fusion window: drain this transaction plus every one the same
+        # sender has announced by now, in send order ------------------------
         window: List = []  # FusedRun | List[CacheOp], dispatch order
         n_runs = 0
         shutdown = False
@@ -212,10 +217,9 @@ def _worker_loop(
                         n_runs += 1
             else:  # pragma: no cover - exhaustive enum
                 raise RuntimeError(f"worker {rank}: unknown transaction {ttype}")
-            if n_runs >= max_fuse or not ep.iprobe(src, Tag.START):
+            if n_runs >= max_fuse or not ep.announced(src):
                 break
-            msg = yield from ep.recv(src, Tag.START)
-            ttype = TransactionType(msg.payload)
+            ttype = ep.take_announcement(src)
 
         if window:
             # The window's chunk-boundary sync points run as kernel events;

@@ -63,18 +63,18 @@ class FaultyLink(Link):
         now = self._kernel.now
         self.n_messages += 1
         spec = self.spec
-        infinite = spec.bandwidth == float("inf")
-        wire_time = 0.0 if infinite else nbytes / spec.bandwidth
-        eager = eager_hint or infinite or nbytes <= spec.eager_threshold
+        eager = (
+            eager_hint or spec.bandwidth == float("inf") or nbytes <= spec.eager_threshold
+        )
         if eager:
-            arrival = now + spec.latency + wire_time
+            arrival = self.eager_arrival(nbytes)
             self.eager_bytes += nbytes
             if eager_hint:
                 self.n_eager_hinted += 1
                 self.hinted_bytes += nbytes
         else:
             start = max(now, self._bulk_free_at)
-            self._bulk_free_at = start + wire_time
+            self._bulk_free_at = start + nbytes / spec.bandwidth
             arrival = self._bulk_free_at + spec.latency
             self.bulk_bytes += nbytes
 

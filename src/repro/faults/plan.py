@@ -32,7 +32,7 @@ class LinkFault:
         jitter: maximum extra latency (seconds) added per message, drawn
             uniformly from ``[0, jitter)``.
         outage: while active, drop *every* bulk-lane message (the cable is
-            saturated/black-holed); eager-lane control markers still pass
+            saturated/black-holed); eager-lane control messages still pass
             unless ``outage_all_lanes`` is set.
         outage_all_lanes: extend an outage to the eager lane too.
         start, end: active window in simulated seconds (``end`` exclusive).
