@@ -32,10 +32,10 @@ Events are plain tuples — ``(seq, target, value)`` in the FIFO,
 a :class:`Process` to resume with ``value`` or a zero-arg callable.  This
 kills the per-event closure allocation the previous heap kernel paid.
 
-The previous single-``heapq`` kernel is retained verbatim as
-:class:`ReferenceSimKernel`: the differential ordering property test replays
-random event storms on both kernels and asserts identical execution traces,
-and the kernel micro-benchmark uses it as the speedup baseline.
+The previous single-``heapq`` kernel lives on as the test oracle
+``tests/oracles/sim_kernel.py::ReferenceSimKernel``: the differential
+ordering property test replays random event storms on both kernels and
+asserts identical execution traces.
 
 This is deliberately a small, purpose-built kernel rather than a general
 framework: the engines only need delays, futures, and a notion of "now".
@@ -171,8 +171,7 @@ class Process:
     """A running generator coroutine inside the kernel."""
 
     __slots__ = (
-        "gen", "send", "name", "alive", "result", "exception",
-        "_resume_plain", "waiting_on",
+        "gen", "send", "name", "alive", "result", "exception", "waiting_on",
     )
 
     def __init__(self, gen: ProcessGen, name: str) -> None:
@@ -192,10 +191,6 @@ class Process:
         #: at deadlock-diagnosis time an alive process with drained queues
         #: is necessarily parked on its most recent future.
         self.waiting_on: Optional[Future] = None
-        #: Cached value-less resume closure — used only by
-        #: :class:`ReferenceSimKernel` (the calendar kernel schedules tuple
-        #: events and needs no closures).
-        self._resume_plain: Optional[Callable[[], None]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Process({self.name!r}, alive={self.alive})"
@@ -364,8 +359,9 @@ class SimKernel:
     """The event loop: an at-now FIFO, a calendar queue, process bookkeeping.
 
     Execution order is exactly ascending ``(time, seq)`` — byte-identical to
-    :class:`ReferenceSimKernel`.  The split into FIFO and calendar relies on
-    two invariants the scheduling paths maintain:
+    the single-heap reference kernel the ordering tests compare against.
+    The split into FIFO and calendar relies on two invariants the
+    scheduling paths maintain:
 
     - events scheduled *at* the current instant always enter the FIFO (never
       the calendar), so they carry larger sequence numbers than any calendar
@@ -561,103 +557,6 @@ class SimKernel:
                 # Already resolved: resume immediately with the stored value.
                 self._seq += 1
                 self._fifo.append((self._seq, proc, yielded.value))
-            else:
-                proc.waiting_on = yielded
-        else:
-            proc.alive = False
-            raise SimError(
-                f"process {proc.name!r} yielded {yielded!r}; expected Delay or Future"
-            )
-
-
-class ReferenceSimKernel:
-    """The pre-calendar heap kernel, retained as the ordering reference.
-
-    One binary heap keyed by ``(time, seq)``, one closure per scheduled
-    resume.  The differential property test replays random event storms on
-    this kernel and :class:`SimKernel` and asserts identical traces; the
-    kernel micro-benchmark in ``benchmarks/bench_hotpath.py`` uses it as
-    the speedup baseline.  Not used by the engines.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
-        self.now = 0.0
-        self._processes: list[Process] = []
-        self._n_events = 0
-
-    def spawn(self, gen: ProcessGen, name: str = "proc") -> Process:
-        proc = Process(gen, name)
-        self._processes.append(proc)
-        self._schedule_resume(proc, None)
-        return proc
-
-    def future(self, label: str = "") -> Future:
-        return Future(self, label)  # type: ignore[arg-type]
-
-    def call_at(self, time: float, fn: Callable[[], None]) -> None:
-        if time < self.now:
-            raise SimError(f"cannot schedule in the past ({time} < {self.now})")
-        self._push(time, fn)
-
-    def call_after(self, delay: float, fn: Callable[[], None]) -> None:
-        self.call_at(self.now + delay, fn)
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                self.now = until
-                return
-            time, _, fn = heapq.heappop(self._heap)
-            self.now = time
-            self._n_events += 1
-            if max_events is not None and self._n_events > max_events:
-                raise SimError(f"exceeded max_events={max_events}")
-            fn()
-
-    @property
-    def n_events(self) -> int:
-        return self._n_events
-
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest pending event, or None when drained."""
-        return self._heap[0][0] if self._heap else None
-
-    def alive_processes(self) -> list[Process]:
-        return [p for p in self._processes if p.alive]
-
-    def _push(self, time: float, fn: Callable[[], None]) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, fn))
-
-    def _schedule_resume(self, proc: Process, value: Any) -> None:
-        self._push(self.now, lambda: self._step(proc, value))
-
-    def _step(self, proc: Process, value: Any) -> None:
-        if not proc.alive:
-            return
-        try:
-            yielded = proc.gen.send(value)
-        except StopIteration as stop:
-            proc.alive = False
-            proc.result = stop.value
-            return
-        except BaseException as exc:
-            proc.alive = False
-            proc.exception = exc
-            raise
-        self._dispatch_yield(proc, yielded)
-
-    def _dispatch_yield(self, proc: Process, yielded: Any) -> None:
-        if isinstance(yielded, Delay):
-            cb = proc._resume_plain
-            if cb is None:
-                cb = proc._resume_plain = lambda: self._step(proc, None)
-            self._push(self.now + yielded.duration, cb)
-        elif isinstance(yielded, Future):
-            if yielded._park(proc):
-                self._schedule_resume(proc, yielded.value)
             else:
                 proc.waiting_on = yielded
         else:

@@ -153,51 +153,32 @@ def dispatch_canonical(engine, ctx: RequestContext) -> RunRecord:
 
 
 def dispatch_prefill(engine, ctx: RequestContext, start_pos: int = 0) -> RunRecord:
-    """Send the prompt through the pipeline as a tracked run (serving mode).
+    """Send ``ctx.accepted[start_pos:]`` through the pipeline as a prefill run.
 
     The single-job head awaits its prefill logits synchronously; the
     serving head cannot block, so the prefill enters the request FIFO like
     any other run and its logits are sampled on arrival
-    (:func:`process_prefill_logits`).
+    (:func:`process_prefill_logits`).  The serving head calls it from two
+    sites:
 
-    ``start_pos`` skips a prompt prefix the prefix cache materialized by
-    pipelined ``seq_cp`` transactions (IV-C3): only the unmatched tail is
-    evaluated, attending over the copied cells exactly as the full
-    prefill would.  The cache caps matches below the prompt length, so
-    the tail — and the last-slot logits that sample the first output
-    token — is never empty.
+    - at admission, when ``ctx.accepted`` is still exactly the prompt;
+    - in crash recovery, where a restarted worker comes back with an empty
+      KV shard and every live request re-runs its accepted tokens (prompt
+      plus verified output) as a fresh prefill.  Greedy decoding depends
+      only on the token prefix, so the logits sample exactly the token the
+      lost in-flight runs would have produced — recovery changes timing,
+      never output.
+
+    ``start_pos`` skips a prefix the prefix cache materialized by pipelined
+    ``seq_cp`` transactions (IV-C3): only the unmatched tail is evaluated,
+    attending over the copied cells exactly as the full prefill would.
+    The cache caps matches below the stream length, so the tail — and the
+    last-slot logits that sample the next token — is never empty.
     """
     rec = RunRecord(
         engine.new_run_id(),
         RunKind.PREFILL,
-        list(ctx.job.prompt[start_pos:]),
-        start_pos,
-        ctx.kv.canonical,
-    )
-    states = engine.backend.slot_states(ctx.chain, start_pos, len(rec.tokens))
-    send_record(engine, rec, states, want_all_logits=False)
-    track_dispatch(ctx, rec)
-    return rec
-
-
-def dispatch_reprefill(engine, ctx: RequestContext, start_pos: int = 0) -> RunRecord:
-    """Rebuild a request's canonical KV from its *verified* token stream.
-
-    Crash recovery: a restarted worker comes back with an empty KV shard,
-    so every live request re-runs its accepted tokens (prompt plus already
-    verified output) through the pipeline as a fresh prefill.  Greedy
-    decoding depends only on the token prefix, so the logits this run
-    returns sample exactly the token the lost in-flight runs would have
-    produced — recovery changes timing, never output.
-
-    ``start_pos`` skips a prefix the prefix cache re-materialized (warm
-    recovery, metadata-KV backends only); the tail is never empty because
-    matches are capped below the stream length.
-    """
-    rec = RunRecord(
-        engine.new_run_id(),
-        RunKind.PREFILL,
-        list(ctx.accepted[start_pos:]),
+        ctx.accepted[start_pos:],
         start_pos,
         ctx.kv.canonical,
     )
@@ -239,18 +220,16 @@ def cancel_run(
         stats.cancel_signals_sent += 1
         if cancels is not None:
             cancels.append(rec.run_id)
-            return
-        # The signal enters at the far end of the pipeline and relays
-        # toward earlier stages (IV-D2); workers probe for it between
-        # compute chunks.
-        engine.ep().send(
-            CancelMsg(rec.run_id), engine.target_ranks()[-1], Tag.CANCEL,
-            nbytes=16.0, eager=True,
-        )
+        else:
+            send_cancels(engine, [rec.run_id])
 
 
 def send_cancels(engine, run_ids: Sequence[int]) -> None:
-    """Flush deferred cancel signals into the far end of the pipeline."""
+    """Send cancel signals into the far end of the pipeline.
+
+    Each signal relays from there toward earlier stages (IV-D2); workers
+    probe for it between compute chunks.
+    """
     ep = engine.ep()
     last_target = engine.target_ranks()[-1]
     for rid in run_ids:

@@ -211,12 +211,6 @@ class BaseEngine:
         nodes = [self.cluster.nodes[r] for r in ranks]
         return partition_for(self.backend.n_target_layers, nodes)
 
-    def layer_range_of(self, rank: int) -> Optional[Tuple[int, int]]:
-        ranks = self.target_ranks()
-        if rank not in ranks:
-            return None
-        return self.partition()[ranks.index(rank)]
-
     # -- spawn -------------------------------------------------------------------
 
     def _spawn_workers(self, kernel: SimKernel):

@@ -376,10 +376,6 @@ class ClusterReport:
         """Generated-token count per request id, cluster-wide."""
         return self.merged.token_counts()
 
-    def replica_throughputs(self) -> List[float]:
-        """Per-replica throughput (0.0 for replicas that served nothing)."""
-        return [r.throughput if r is not None else 0.0 for r in self.per_replica]
-
 
 def aggregate(reports: Sequence[EngineReport]) -> EngineReport:
     """Average repeated runs of the same configuration (paper: 10 reps)."""

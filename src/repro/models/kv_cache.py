@@ -18,9 +18,9 @@ The metadata plane is stored as NumPy state rather than Python sets:
   O(log n) instead of scanning every cell.
 
 Sequence ops and queries are masked-array expressions over this state —
-O(1) or one vectorized pass — with semantics identical to the retained
-pure-Python reference (:mod:`repro.models.kv_cache_ref`), which a
-differential property test asserts: positional dedupe in ``seq_cp``,
+O(1) or one vectorized pass — with semantics identical to the
+pure-Python per-cell-set reference the differential property tests keep
+(``tests/oracles/kv_cache.py``): positional dedupe in ``seq_cp``,
 free-on-empty, strict/inclusive visibility.
 
 The cache is used at two fidelity levels:

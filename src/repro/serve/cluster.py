@@ -237,30 +237,48 @@ class Replica:
 
     def report(self) -> Optional[ServingReport]:
         """This replica's own serving report (None if it served nothing)."""
-        requests = self.engine.request_reports
-        if not requests:
+        if not self.engine.request_reports:
             return None
-        report = ServingReport.from_requests(
-            self.engine.name,
-            self.cluster.size,
-            requests,
-            extra_stats=self.metrics.stats,
+        return fold_reports([self])
+
+
+def fold_reports(replicas: Sequence[Replica]) -> ServingReport:
+    """One :class:`ServingReport` over the requests and raw metrics of ``replicas``.
+
+    Every replica counts toward the totals (nodes, node-weighted
+    utilization, resumes, delivered messages, histograms) whether or not it
+    served a request.  Utilization is each replica's busy fraction over the
+    folded makespan; a single replica keeps its own figure, because
+    ``(u * n) / n`` is not bit-equal to ``u``.
+    """
+    report = ServingReport.from_requests(
+        replicas[0].engine.name,
+        sum(rep.cluster.size for rep in replicas),
+        [r for rep in replicas for r in rep.engine.request_reports],
+        extra_stats=RunStats.merged([rep.metrics.stats for rep in replicas]),
+    )
+    busy = [rep.metrics.utilization(total_time=report.makespan) for rep in replicas]
+    if len(replicas) == 1:
+        report.utilization = busy[0]
+    else:
+        report.utilization = (
+            sum(u * rep.cluster.size for u, rep in zip(busy, replicas)) / report.n_nodes
         )
-        # Busy fractions over the serving makespan (head + workers).
-        report.utilization = self.metrics.utilization(total_time=report.makespan)
-        # Event-core efficiency: process resumes executed vs messages made
-        # available to receivers — the batched-inbox hand-off drives this
-        # ratio toward one resume per delivery event (< 1 message-wise).
-        report.n_resumes = self.kernel.n_resumes
-        report.n_delivered = self.network.n_delivered
-        report.fusion_width = self.metrics.fusion_width_hist()
-        report.draft_batch_width = dict(self.metrics.draft_batch_width)
-        # Prefix-cache lifecycle counters (empty dict when the cache is off
-        # or the head is a baseline without one).
-        report.prefix_cache_stats = dict(
-            getattr(self.engine, "prefix_cache_stats", {})
-        )
-        return report
+    # Event-core efficiency: process resumes executed vs messages made
+    # available to receivers — the batched-inbox hand-off drives this
+    # ratio toward one resume per delivery event (< 1 message-wise).
+    report.n_resumes = sum(rep.kernel.n_resumes for rep in replicas)
+    report.n_delivered = sum(rep.network.n_delivered for rep in replicas)
+    for rep in replicas:
+        for width, count in rep.metrics.fusion_width_hist().items():
+            report.fusion_width[width] = report.fusion_width.get(width, 0) + count
+        for width, count in rep.metrics.draft_batch_width.items():
+            report.draft_batch_width[width] = report.draft_batch_width.get(width, 0) + count
+        # Prefix-cache lifecycle counters (none when the cache is off or
+        # the head is a baseline without one).
+        for key, val in getattr(rep.engine, "prefix_cache_stats", {}).items():
+            report.prefix_cache_stats[key] = report.prefix_cache_stats.get(key, 0) + val
+    return report
 
 
 class Router:
@@ -553,40 +571,7 @@ class EngineCluster:
         """
         replicas = self._live()
         per_replica = [rep.report() for rep in replicas]
-        all_requests = [
-            r for rep in replicas for r in rep.engine.request_reports
-        ]
-        if not all_requests:
-            raise ValueError("cluster served no requests")
-        extra = RunStats.merged([rep.metrics.stats for rep in replicas])
-        total_nodes = sum(rep.cluster.size for rep in replicas)
-        merged = ServingReport.from_requests(
-            replicas[0].engine.name, total_nodes, all_requests, extra_stats=extra
-        )
-        # Node-weighted busy fraction over the cluster-wide makespan.
-        merged.utilization = (
-            sum(
-                rep.metrics.utilization(total_time=merged.makespan)
-                * rep.cluster.size
-                for rep in replicas
-            )
-            / total_nodes
-        )
-        merged.n_resumes = sum(rep.kernel.n_resumes for rep in replicas)
-        merged.n_delivered = sum(rep.network.n_delivered for rep in replicas)
-        for rep in replicas:
-            for width, count in rep.metrics.fusion_width_hist().items():
-                merged.fusion_width[width] = (
-                    merged.fusion_width.get(width, 0) + count
-                )
-            for width, count in rep.metrics.draft_batch_width.items():
-                merged.draft_batch_width[width] = (
-                    merged.draft_batch_width.get(width, 0) + count
-                )
-            for key, val in getattr(rep.engine, "prefix_cache_stats", {}).items():
-                merged.prefix_cache_stats[key] = (
-                    merged.prefix_cache_stats.get(key, 0) + val
-                )
+        merged = fold_reports(replicas)
         routed = [0] * self.cluster_config.n_replicas
         for rid in self.router.assignments.values():
             routed[rid] += 1

@@ -44,7 +44,6 @@ from repro.core.head import (
     canonical_entry,
     dispatch_burst,
     dispatch_prefill,
-    dispatch_reprefill,
     dispatch_spec_burst,
     new_request_context,
     cancel_run,
@@ -385,7 +384,7 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
                     start = match.length
             engine.send_cache_ops(first_target, ops)
             ctx.prefilled = False
-            dispatch_reprefill(engine, ctx, start_pos=start)
+            dispatch_prefill(engine, ctx, start_pos=start)
             order.append(ctx.req_id)
             ctx.metrics.stats.reprefilled_tokens += len(ctx.accepted) - start
 

@@ -3,7 +3,8 @@
 ``run_serving`` is the single-pipeline (K=1) case of the one serving
 driver, :class:`~repro.serve.cluster.EngineCluster`: it opens one
 replica, pushes the workload into its queue request by request, drains
-it, and returns that replica's report.
+it, and returns the cluster's merged report, which for one replica is
+that replica's own report bit for bit (both are the same fold).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def run_serving(
             empty (or None) plan installs nothing — the simulation is
             byte-identical to one run without the fault plane.
     """
-    report = run_cluster(
+    return run_cluster(
         engine_factory,
         [backend],
         [cluster],
@@ -51,9 +52,7 @@ def run_serving(
         ClusterConfig(n_replicas=1),
         config,
         fault_plans=[fault_plan],
-    ).per_replica[0]
-    assert report is not None  # workloads hold >= 1 job
-    return report
+    ).merged
 
 
 def make_workload(

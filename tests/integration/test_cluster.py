@@ -51,18 +51,25 @@ def make_parts(pair, k):
     return backends, clusters
 
 
-@pytest.fixture(scope="module")
-def multiturn_workload(pair):
+def make_multiturn_workload(pair, turn_gap=40.0, n_generate=12):
+    """Four 3-turn sessions; each turn's prompt extends the previous one."""
     tmpl = MultiTurnTemplate(n_turns=3, seed=5)
     n_sessions = 4
     prompts = tmpl.prompts(n_sessions, pair.target_arch.vocab)
     return Workload(
-        jobs=tuple(GenerationJob(prompt=p, n_generate=12) for p in prompts),
+        jobs=tuple(
+            GenerationJob(prompt=p, n_generate=n_generate) for p in prompts
+        ),
         arrivals=multiturn_arrivals(
-            n_sessions, 3, turn_gap=40.0, session_rate=0.5, seed=9
+            n_sessions, 3, turn_gap=turn_gap, session_rate=0.5, seed=9
         ),
         sessions=tmpl.sessions(n_sessions),
     )
+
+
+@pytest.fixture(scope="module")
+def multiturn_workload(pair):
+    return make_multiturn_workload(pair)
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +196,35 @@ class TestSessionAffinity:
         n_requests = len(multiturn_workload.jobs)
         # Every turn after a session's first lands on the pin.
         assert affinity_report.session_affinity_hits == n_requests - n_sessions
+
+
+class TestAffinityBeatsRandomPlacement:
+    def test_higher_hit_rate_and_lower_mean_ttft(self, pair):
+        """Four 3-turn sessions on four replicas: random placement scatters
+        follow-up turns onto replicas whose radix trees never saw the
+        earlier turns.  Measured: hit rate 0.583 vs 0.354, mean TTFT
+        10.49 s vs 16.75 s."""
+        workload = make_multiturn_workload(pair, turn_gap=45.0, n_generate=8)
+
+        def serve(routing, affinity):
+            backends, clusters = make_parts(pair, 4)
+            return run_cluster(
+                PipeInferEngine,
+                backends,
+                clusters,
+                workload,
+                cluster_config=ClusterConfig(
+                    n_replicas=4, routing=routing, affinity=affinity
+                ),
+                config=EngineConfig(n_seq_partitions=24, prefix_cache=True),
+            )
+
+        rand = serve("random", "none")
+        aff = serve("prefix_affinity", "session")
+        assert aff.outputs() == rand.outputs()
+        assert aff.prefix_hit_rate > rand.prefix_hit_rate
+        assert aff.prefix_hit_rate > 0.45, aff.prefix_hit_rate
+        assert aff.ttft_mean < rand.ttft_mean
 
 
 class TestDeterminism:

@@ -36,13 +36,15 @@ def cluster():
     return cluster_c(6)
 
 
-def make_jobs(pair, share_fraction):
+def make_jobs(pair, share_fraction, shared_len=96, unique_len=24, seed=11,
+              n_requests=N_REQUESTS, n_generate=16):
     template = SharedPrefixTemplate(
-        shared_len=96, unique_len=24, share_fraction=share_fraction, seed=11
+        shared_len=shared_len, unique_len=unique_len,
+        share_fraction=share_fraction, seed=seed,
     )
     return tuple(
-        GenerationJob(prompt=p, n_generate=16)
-        for p in template.prompts(N_REQUESTS, pair.target_arch.vocab)
+        GenerationJob(prompt=p, n_generate=n_generate)
+        for p in template.prompts(n_requests, pair.target_arch.vocab)
     )
 
 
@@ -100,14 +102,35 @@ class TestHalfSharedWorkload:
         assert all(r.cached_tokens == 0 for r in off.requests)
 
 
+#: Fully shared scenarios: (pipeline nodes, shared/unique prompt lengths,
+#: template seed, requests, tokens generated, measured prefix hit tokens).
+#: The hit-token count is deterministic simulated bookkeeping, so it is
+#: floored at its measured value: fewer hits is a behavior regression.
+FULLY_SHARED = (
+    (6, 96, 24, 11, N_REQUESTS, 16, 576),
+    (4, 48, 12, 5, 6, 8, 192),
+)
+
+
 class TestFullyShared:
-    def test_fully_shared_beats_half_shared_hit_rate(self, pair, cluster,
-                                                     half_shared):
+    def test_fully_shared_beats_half_shared_hit_rate(self, pair, half_shared):
         _, half = half_shared
-        jobs = make_jobs(pair, share_fraction=1.0)
-        on = run(pair, cluster, jobs, prefix_cache=True)
-        off = run(pair, cluster, jobs, prefix_cache=False)
-        assert on.outputs() == off.outputs()
-        assert on.prefix_hit_rate > half.prefix_hit_rate
-        # The benchmark's acceptance bar at full sharing: >= 25% mean-TTFT cut.
-        assert on.ttft_mean < 0.75 * off.ttft_mean
+        for (n_nodes, shared_len, unique_len, seed, n_requests, n_generate,
+             min_hit_tokens) in FULLY_SHARED:
+            cluster = cluster_c(n_nodes)
+            jobs = make_jobs(
+                pair, share_fraction=1.0, shared_len=shared_len,
+                unique_len=unique_len, seed=seed, n_requests=n_requests,
+                n_generate=n_generate,
+            )
+            on = run(pair, cluster, jobs, prefix_cache=True)
+            off = run(pair, cluster, jobs, prefix_cache=False)
+            assert on.outputs() == off.outputs()
+            assert on.prefix_hit_tokens >= min_hit_tokens, on.prefix_hit_tokens
+            assert on.prefix_hit_rate > half.prefix_hit_rate
+            # The benchmark's acceptance bar at full sharing: >= 25%
+            # mean-TTFT cut (measured 0.42 and 0.32).
+            assert on.ttft_mean < 0.75 * off.ttft_mean, (
+                f"{shared_len}+{unique_len}: {off.ttft_mean:.2f}s -> "
+                f"{on.ttft_mean:.2f}s"
+            )

@@ -1,15 +1,13 @@
-"""Retained pure-Python KV-cache metadata reference.
+"""Pure-Python KV-cache metadata reference.
 
 This is the original per-cell ``List[Set[int]]`` implementation the
 vectorized :class:`~repro.models.kv_cache.KVCache` replaced.  It is kept
 (metadata plane only — no tensor store) as the executable specification
-of the cache semantics: the differential property test drives identical
+of the cache semantics: the differential property tests drive identical
 op sequences through both implementations (and through
-:class:`~repro.models.range_cache.RangeKVCache`) and asserts identical
+:class:`~repro.models.range_cache.RangeKVCache`) and assert identical
 observable state, including allocation order, positional dedupe in
-``seq_cp``, and free-on-empty.
-
-Do not use this class in engine code — it is O(n_cells) per operation by
+``seq_cp``, and free-on-empty.  It is O(n_cells) per operation by
 construction.
 """
 

@@ -14,8 +14,8 @@ cached span into several requests' partitions).
 from hypothesis import given, settings, strategies as st
 
 from repro.models.kv_cache import KVCache
-from repro.models.kv_cache_ref import ReferenceKVCache
 from repro.models.range_cache import RangeKVCache
+from oracles.kv_cache import ReferenceKVCache
 
 SEQS = st.integers(0, 4)
 POS = st.integers(0, 30)

@@ -14,8 +14,8 @@ representation, not semantics.
 from hypothesis import given, settings, strategies as st
 
 from repro.models.kv_cache import KVCache
-from repro.models.kv_cache_ref import ReferenceKVCache
 from repro.models.range_cache import RangeKVCache
+from oracles.kv_cache import ReferenceKVCache
 
 N_SEQS = 6
 MAX_POS = 30

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.kernel import (
-    ReferenceSimKernel,
     SimError,
     SimKernel,
     StuckSimulationError,
@@ -12,6 +11,7 @@ from repro.cluster.kernel import (
 from repro.cluster.testbed import cluster_c
 from repro.comm.message import Tag
 from repro.comm.mpi_sim import Network
+from oracles.sim_kernel import ReferenceSimKernel
 
 
 def test_stuck_is_a_sim_error():
@@ -80,7 +80,7 @@ def test_completed_processes_do_not_raise():
 
 
 def test_reference_kernel_reports_waiting_on_too():
-    """The retained pre-PR kernel records the parked future as well."""
+    """The reference heap kernel records the parked future as well."""
     k = ReferenceSimKernel()
     fut = k.future("ref-label")
 

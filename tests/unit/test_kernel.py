@@ -194,7 +194,7 @@ class TestNextEventTime:
 
     @pytest.fixture(params=["calendar", "reference"])
     def any_kernel(self, request):
-        from repro.cluster.kernel import ReferenceSimKernel
+        from oracles.sim_kernel import ReferenceSimKernel
 
         return SimKernel() if request.param == "calendar" else ReferenceSimKernel()
 

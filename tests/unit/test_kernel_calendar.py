@@ -1,24 +1,30 @@
-"""Calendar-queue kernel vs the retained heap kernel: ordering and edges.
+"""Calendar-queue kernel vs the reference heap kernel: ordering and edges.
 
 The calendar kernel's determinism contract is that execution order is
-exactly ascending ``(time, seq)`` — byte-identical to the pre-PR heap
-kernel retained as :class:`ReferenceSimKernel`.  The differential property
-test here replays random event storms (delays, futures resolved by timers,
-plain callbacks, mid-run spawns) on both kernels and asserts the full
-execution traces match.  The edge tests pin the horizon-resume fix,
-past-scheduling errors, and cumulative ``max_events`` accounting.
+exactly ascending ``(time, seq)`` — byte-identical to the heap kernel
+kept as the test oracle :class:`ReferenceSimKernel`.  The differential
+property test here replays random event storms (delays, futures resolved
+by timers, plain callbacks, mid-run spawns) on both kernels and asserts
+the full execution traces match.  The message storm runs the engines'
+dominant traffic shape on both stacks — the calendar kernel with the
+coalescing :class:`Link`, the heap kernel with one event per message —
+and pins the same simulated outcome plus the coalescing ratio.  The edge
+tests pin the horizon-resume fix, past-scheduling errors, and cumulative
+``max_events`` accounting.
 """
 
 import random
 
 import pytest
 
+from repro.cluster.interconnect import Link, LinkSpec
 from repro.cluster.kernel import (
     Delay,
-    ReferenceSimKernel,
     SimError,
     SimKernel,
 )
+from repro.util.units import Gbps, KiB
+from oracles.sim_kernel import ReferenceSimKernel
 
 KERNELS = [SimKernel, ReferenceSimKernel]
 
@@ -99,6 +105,116 @@ def test_same_time_burst_larger_than_a_calendar_run_keeps_seq_order():
     kernel.run()
     assert fired == list(range(1300))
     assert kernel.now == t
+
+
+# ---------------------------------------------------------------------------
+# Message storm: coalescing link on the calendar kernel vs per-message
+# delivery on the heap kernel
+# ---------------------------------------------------------------------------
+
+
+class _PerMessageLink:
+    """``Link`` without coalescing: one ``call_at`` kernel event per message."""
+
+    def __init__(self, kernel, spec: LinkSpec) -> None:
+        self._kernel = kernel
+        self.spec = spec
+        self._bulk_free_at = 0.0
+
+    def transmit(self, nbytes: float, on_delivered) -> float:
+        now = self._kernel.now
+        spec = self.spec
+        if nbytes <= spec.eager_threshold:
+            arrival = now + spec.latency + nbytes / spec.bandwidth
+        else:
+            start = max(now, self._bulk_free_at)
+            self._bulk_free_at = start + nbytes / spec.bandwidth
+            arrival = self._bulk_free_at + spec.latency
+        self._kernel.call_at(arrival, on_delivered)
+        return arrival
+
+
+_STORM_SENDERS, _STORM_ROUNDS, _STORM_BURST = 2, 150, 12
+
+
+def _message_storm(kernel, links, batched: bool):
+    """Senders burst mixed traffic over ``links``; receivers park on futures.
+
+    Every 8th message of a burst is a 64 KiB bulk tensor that serializes,
+    the rest are 1 KiB eager messages, so one burst lands at a handful of
+    distinct instants.  A batched receiver drains its whole inbox per wake
+    (the ``Endpoint.recv_many`` hand-off); otherwise each message costs
+    one at-now resume, like a per-message ``recv``.  Returns
+    ``(delivered, final clock, sorted delivery instants)``.
+    """
+    delivered = [0]
+    instants = []
+    inboxes = [[] for _ in links]
+    signals = [[None] for _ in links]
+
+    def on_delivered(idx):
+        def deliver():
+            instants.append(kernel.now)
+            inboxes[idx].append(None)
+            sig = signals[idx][0]
+            if sig is not None:
+                signals[idx][0] = None
+                sig.resolve(None)
+
+        return deliver
+
+    def receiver(idx):
+        inbox = inboxes[idx]
+        got = 0
+        while got < _STORM_ROUNDS * _STORM_BURST:
+            if not inbox:
+                signals[idx][0] = kernel.future(f"rx{idx}")
+                yield signals[idx][0]
+            if batched:
+                got += len(inbox)
+                delivered[0] += len(inbox)
+                inbox.clear()
+                continue
+            ready = kernel.future()
+            ready.resolve(None)
+            yield ready
+            inbox.pop()
+            got += 1
+            delivered[0] += 1
+
+    def sender(idx):
+        deliver = on_delivered(idx)
+        for _ in range(_STORM_ROUNDS):
+            for i in range(_STORM_BURST):
+                links[idx].transmit(64 * KiB if i % 8 == 7 else 1 * KiB, deliver)
+            yield Delay(1e-4)
+
+    procs = [kernel.spawn(receiver(i), f"rx{i}") for i in range(len(links))]
+    procs += [kernel.spawn(sender(i), f"tx{i}") for i in range(len(links))]
+    kernel.run()
+    assert not any(p.alive for p in procs), "message storm deadlocked"
+    return delivered[0], kernel.now, sorted(instants)
+
+
+def test_message_storm_same_outcome_and_coalesced_delivery():
+    spec = LinkSpec("storm", latency=5e-6, bandwidth=Gbps(1))
+    kernel = SimKernel()
+    links = [Link(kernel, spec) for _ in range(_STORM_SENDERS)]
+    delivered, now, instants = _message_storm(kernel, links, batched=True)
+
+    ref_kernel = ReferenceSimKernel()
+    ref_links = [_PerMessageLink(ref_kernel, spec) for _ in range(_STORM_SENDERS)]
+    ref_delivered, ref_now, ref_instants = _message_storm(
+        ref_kernel, ref_links, batched=False
+    )
+
+    assert delivered == ref_delivered == _STORM_SENDERS * _STORM_ROUNDS * _STORM_BURST
+    assert now == ref_now
+    assert instants == ref_instants
+    # Same-instant arrivals share one delivery event: 6.0 messages per
+    # event on this traffic, more than 4 required.
+    coalescing = delivered / sum(link.n_delivery_events for link in links)
+    assert coalescing > 4, coalescing
 
 
 # ---------------------------------------------------------------------------
