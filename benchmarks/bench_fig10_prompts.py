@@ -18,7 +18,8 @@ def test_fig10_prompt_variance(benchmark, bench_scale):
     # Both strategies track the task-induced alignment shifts; the paper's
     # stronger claim (PipeInfer markedly flatter than the erratic
     # baseline) reproduces only partially here because our prompt classes
-    # enter solely through the acceptance rate — see EXPERIMENTS.md.
+    # enter solely through the acceptance rate.  This assert fails today
+    # (the spread gap is recorded as open in ROADMAP.md).
     assert spread["PipeInfer"] < spread["Speculative"] * 1.35
     # PipeInfer stays within striking distance on every prompt class and
     # wins on the best-aligned one at this shallow 4-node pipeline.

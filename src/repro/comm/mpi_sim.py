@@ -276,12 +276,10 @@ class Endpoint:
 
         Returns True if a message arrived (or one was already available),
         False when the deadline passed first.  ``until`` is an absolute
-        instant, not a duration: the single-job head arms it at the
-        precomputed start of the draft retry that would clear its cutoff,
-        and a relative wait would re-round (``now + (until - now)`` need
-        not equal ``until``).  ``until=None`` waits indefinitely, with no
-        timer event — correct whenever in-flight pipeline work guarantees
-        a future arrival.
+        instant, not a duration: a relative wait would re-round
+        (``now + (until - now)`` need not equal ``until``).  ``until=None``
+        waits indefinitely, with no timer event — correct whenever
+        in-flight pipeline work guarantees a future arrival.
         """
         if self._available:
             return True

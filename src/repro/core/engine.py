@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Generator, List
 
-from repro.core.head import pipeinfer_head
-from repro.engines.base import BaseEngine, GenerationJob
+from repro.engines.base import BaseEngine
 
 
 class PipeInferEngine(BaseEngine):
@@ -33,9 +32,6 @@ class PipeInferEngine(BaseEngine):
 
     def hosts_draft(self) -> bool:
         return True
-
-    def _head(self, job: GenerationJob) -> Generator:
-        return pipeinfer_head(self, job)
 
     def _serve_head(self, scheduler) -> Generator:
         """Serve request streams with multiplexed asynchronous speculation."""

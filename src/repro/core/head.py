@@ -1,35 +1,30 @@
-"""The PipeInfer head-node process (paper Section IV).
+"""Per-request operations of the PipeInfer head (paper Section IV).
 
-Rank 0 hosts the draft model and no target layers.  Its loop implements
-continuous asynchronous speculation:
+Rank 0 hosts the draft model and no target layers.  Its loop, the serving
+head in :mod:`repro.serve.head`, implements continuous asynchronous
+speculation over one or many requests; a single job is its one-request
+case.  Per iteration it:
 
-1. if a logits transfer is waiting (probe), run sampling/verification —
-   advance the accepted stream, emit acceptance/release cache ops, detect
-   invalidated and superfluous runs, and back-propagate cancellations;
-2. else, if no live in-flight run will predict the token after the
-   accepted tip, dispatch the canonical (non-speculative) run for the tip
-   — guaranteeing forward progress even with zero speculation accuracy;
-3. else, draft the next speculative micro-batch continuing the chain and
-   dispatch it into the pipeline under a fresh KV sequence partition,
+1. samples/verifies waiting logits — advances the accepted stream, emits
+   acceptance/release cache ops, detects invalidated and superfluous runs,
+   and back-propagates cancellations;
+2. dispatches the canonical (non-speculative) run for any accepted tip no
+   live in-flight run will predict — guaranteeing forward progress even
+   with zero speculation accuracy;
+3. drafts the next speculative micro-batch continuing each chain and
+   dispatches it into the pipeline under a fresh KV sequence partition,
    with its context copy-ops pipelined ahead of it;
-4. else wait until there is new work: at the lookahead cap or with no
-   free partition, for a message; when draft confidence halted drafting,
-   for a message or for the retry that would clear the decaying cutoff
-   (:func:`idle_below_cutoff` replays the paper's ``idle_poll`` retries
-   from one timed wait).
+4. otherwise waits for a message.  A draft round that fails below the
+   cutoff decays it once (IV-B2).
 
-All per-request logic operates on a :class:`RequestContext`, so the same
-functions drive both this single-job head and the multi-request serving
-head (:mod:`repro.serve.head`), which multiplexes canonical and
-speculative runs of many live requests through one pipeline.
+Everything here operates on a :class:`RequestContext`; the loop itself
+lives in :func:`repro.serve.head.pipeinfer_serving_head`.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Generator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.cluster.kernel import Delay
 from repro.comm.message import Tag
 from repro.comm.payloads import (
     Activations,
@@ -38,7 +33,7 @@ from repro.comm.payloads import (
     FusedRun,
     TokenSlot,
 )
-from repro.core.continuous import CutoffController, retry_windows
+from repro.core.continuous import CutoffController
 from repro.core.multibuffer import MultibufferManager
 from repro.core.run_state import RequestContext, RunFIFO, RunKind, RunRecord
 from repro.engines.base import GenerationJob
@@ -78,7 +73,7 @@ def new_request_context(
 
 
 # ---------------------------------------------------------------------------
-# Per-request operations shared by the single-job and serving heads.
+# Per-request operations.
 # ---------------------------------------------------------------------------
 
 
@@ -105,29 +100,15 @@ def build_run_payload(
     return meta, Activations(rec.run_id, nbytes=nbytes, hidden=None)
 
 
-def send_record(engine, rec: RunRecord, states, want_all_logits: bool = True) -> None:
-    """Send one run's decode transaction into the pipeline."""
-    first_target = engine.target_ranks()[0]
-    # send_decode stamps meta.nbytes from the backend's cost descriptor.
-    meta, act = build_run_payload(rec, states, want_all_logits)
-    engine.send_decode(first_target, meta, act)
-
-
 def track_dispatch(ctx: RequestContext, rec: RunRecord) -> None:
     """Per-dispatch bookkeeping: push ``rec`` onto the request's run FIFO
     and count the dispatch.
 
-    Shared by :func:`send_run` and :func:`dispatch_burst`, so a run is
-    tracked the same way whichever transaction carries it.
+    Shared by :func:`dispatch_prefill` and :func:`dispatch_burst`, so a
+    run is tracked the same way whichever transaction carries it.
     """
     ctx.fifo.push(rec)
     ctx.metrics.stats.dispatched += 1
-
-
-def send_run(engine, ctx: RequestContext, rec: RunRecord, states) -> None:
-    """Dispatch ``rec`` into the pipeline and track it in the request FIFO."""
-    send_record(engine, rec, states)
-    track_dispatch(ctx, rec)
 
 
 def canonical_entry(engine, ctx: RequestContext):
@@ -145,21 +126,12 @@ def canonical_entry(engine, ctx: RequestContext):
     return rec, states
 
 
-def dispatch_canonical(engine, ctx: RequestContext) -> RunRecord:
-    """The guaranteed-progress single-token run for the accepted tip."""
-    rec, states = canonical_entry(engine, ctx)
-    send_run(engine, ctx, rec, states)
-    return rec
-
-
 def dispatch_prefill(engine, ctx: RequestContext, start_pos: int = 0) -> RunRecord:
     """Send ``ctx.accepted[start_pos:]`` through the pipeline as a prefill run.
 
-    The single-job head awaits its prefill logits synchronously; the
-    serving head cannot block, so the prefill enters the request FIFO like
-    any other run and its logits are sampled on arrival
-    (:func:`process_prefill_logits`).  The serving head calls it from two
-    sites:
+    The head does not block on it: the prefill enters the request FIFO
+    like any other run and its logits are sampled on arrival
+    (:func:`process_prefill_logits`).  The head calls it from two sites:
 
     - at admission, when ``ctx.accepted`` is still exactly the prompt;
     - in crash recovery, where a restarted worker comes back with an empty
@@ -183,13 +155,15 @@ def dispatch_prefill(engine, ctx: RequestContext, start_pos: int = 0) -> RunReco
         ctx.kv.canonical,
     )
     states = engine.backend.slot_states(ctx.chain, start_pos, len(rec.tokens))
-    send_record(engine, rec, states, want_all_logits=False)
+    # send_decode stamps meta.nbytes from the backend's cost descriptor.
+    meta, act = build_run_payload(rec, states, want_all_logits=False)
+    engine.send_decode(engine.target_ranks()[0], meta, act)
     track_dispatch(ctx, rec)
     return rec
 
 
 def process_prefill_logits(engine, ctx: RequestContext, payload) -> None:
-    """Sample the first token from a prefill run's logits (serving mode)."""
+    """Sample the first token from a prefill run's logits."""
     first = argmax_token(payload.logits[0])
     ctx.accepted.append(first)
     ctx.chain.append(first)
@@ -200,15 +174,15 @@ def process_prefill_logits(engine, ctx: RequestContext, payload) -> None:
 
 
 def cancel_run(
-    engine, ctx: RequestContext, rec: RunRecord, invalid: bool, cancels=None
+    engine, ctx: RequestContext, rec: RunRecord, invalid: bool, cancels: List
 ) -> None:
     """Mark and (for speculative runs) back-propagate a cancel signal.
 
-    When ``cancels`` is given, the wire send is deferred: the run id is
-    appended for the caller to flush with :func:`send_cancels` *after*
-    charging the sampling delay that produced the decision — the signal
-    must not leave before the verification work it depends on is done.
-    Bookkeeping (stats, eligibility) is decided immediately either way.
+    The wire send is deferred: the run id is appended to ``cancels`` for
+    the caller to flush with :func:`send_cancels` *after* charging the
+    sampling delay that produced the decision — the signal must not leave
+    before the verification work it depends on is done.  Bookkeeping
+    (stats, eligibility) is decided immediately.
     """
     cfg = engine.config
     stats = ctx.metrics.stats
@@ -218,10 +192,7 @@ def cancel_run(
         stats.cancelled_superfluous += 1
     if cfg.enable_cancellation and rec.is_speculative and not rec.superfluous:
         stats.cancel_signals_sent += 1
-        if cancels is not None:
-            cancels.append(rec.run_id)
-        else:
-            send_cancels(engine, [rec.run_id])
+        cancels.append(rec.run_id)
 
 
 def send_cancels(engine, run_ids: Sequence[int]) -> None:
@@ -339,46 +310,14 @@ def verify_run_logits(
     return t
 
 
-def process_run_logits(engine, ctx: RequestContext, payload) -> Generator:
-    """Sampling/verification for one logits message (per-message form).
+def spec_allowed(engine, ctx: RequestContext, n_active: int) -> bool:
+    """The speculation gate: may this request draft now?  Depth adapts to
+    concurrency.
 
-    Thin generator over :func:`verify_run_logits`: charges the sampling
-    delay, then flushes the run's acceptance + release cache ops as a
-    single transaction (historically two) and its cancel signals.  The
-    serving head batch-drains via :func:`verify_run_logits` directly.
-    """
-    ops: List = []
-    cancels: List = []
-    t = verify_run_logits(engine, ctx, payload, ops, cancels)
-    if t:
-        yield Delay(t)
-        engine.metrics.add_busy(0, t)
-    if ops:
-        engine.send_cache_ops(engine.target_ranks()[0], ops)
-    if cancels:
-        send_cancels(engine, cancels)
-
-
-def spec_allowed(engine, ctx: RequestContext) -> bool:
-    """May this request draft a new speculative micro-batch now?"""
-    cfg = engine.config
-    if cfg.enable_continuous:
-        return (
-            ctx.kv.can_allocate()
-            and len(ctx.chain) - len(ctx.accepted) < cfg.lookahead_cap
-        )
-    # Figure 8 ablation: asynchronous speculation only — a single
-    # (larger) speculative run at a time, never chained.
-    return ctx.kv.can_allocate() and ctx.n_spec_inflight == 0
-
-
-def spec_allowed_serving(engine, ctx: RequestContext, n_active: int) -> bool:
-    """Serving-mode speculation gate: depth adapts to concurrency.
-
-    Single-job continuous speculation fills pipeline bubbles with *depth*
-    — chains of unverified micro-batches up to ``lookahead_cap``.  Under
-    serving load the batched draft round fills them with *width* (one run
-    per request), and deep per-request chains become waste: every chained
+    A lone request fills pipeline bubbles with *depth* — chains of
+    unverified micro-batches up to ``lookahead_cap``.  Under serving load
+    the batched draft round fills them with *width* (one run per
+    request), and deep per-request chains become waste: every chained
     run builds on unverified drafts, so one early rejection invalidates a
     whole tower per request — multiplied by however many requests drafted
     in lockstep.  The gate therefore shares the lookahead budget across
@@ -387,7 +326,7 @@ def spec_allowed_serving(engine, ctx: RequestContext, n_active: int) -> bool:
         ``(lookahead_cap / microbatch_size) / n_active``
 
     speculative runs in flight (at least one).  With one active request
-    this is the historical depth; with many, chaining tapers off and
+    this is the full depth; with many, chaining tapers off and
     cross-request width keeps the pipeline saturated instead — speculation
     depth adapting to real-time conditions, as IV-B2 prescribes for the
     cutoff.  The Figure-8 non-continuous ablation keeps its one-run rule.
@@ -405,43 +344,18 @@ def spec_allowed_serving(engine, ctx: RequestContext, n_active: int) -> bool:
     )
 
 
-def draft_round(
-    engine, ctxs: Sequence[RequestContext]
-) -> Generator[object, object, Dict[int, int]]:
+def start_draft_round(engine, ctxs: Sequence[RequestContext], on_complete) -> None:
     """Lockstep batched drafting across several requests' chains.
 
     Each step proposes the next token for *every* participating chain in
     one batched draft pass (:meth:`~repro.engines.backend.Backend.propose_multi`)
     charged a single fused pass time; a chain whose confidence falls below
     its request's cutoff drops out of the round, the rest continue up to
-    ``microbatch_size`` tokens.  Returns ``req_id -> proposal count``
-    (zero entries mean that request's cutoff halted drafting immediately).
-
-    With one participant this is exactly the historical sequential
-    drafting loop; the differential suites pin the wider batches to it.
-
-    The passes run as chained kernel events (each pass's completion
-    callback proposes, filters, and schedules the next pass at exactly
-    the instants the historical per-pass delay loop hit), so the head
-    process parks once on a future for the whole round instead of
-    resuming per pass.
-    """
-    kernel = engine.net.kernel
-    fut = kernel.future("draft_round")
-    start_draft_round(engine, ctxs, fut.resolve)
-    if not fut.resolved:
-        yield fut
-    return fut.value
-
-
-def start_draft_round(engine, ctxs: Sequence[RequestContext], on_complete) -> None:
-    """Event-driven core of :func:`draft_round`.
-
-    Chains the lockstep draft passes as kernel events and invokes
-    ``on_complete(proposed)`` at the instant the round ends — callable
-    from plain (non-generator) code such as the serving head's event
-    loop.  Completes synchronously (before returning) when there are no
-    participants or drafting is disabled.
+    ``microbatch_size`` tokens.  The passes run as chained kernel events,
+    and ``on_complete(proposed)`` is invoked at the instant the round ends
+    with ``req_id -> proposal count`` (zero entries mean that request's
+    cutoff halted drafting immediately).  Completes synchronously (before
+    returning) when there are no participants or drafting is disabled.
     """
     be = engine.backend
     cfg = engine.config
@@ -470,7 +384,6 @@ def start_draft_round(engine, ctxs: Sequence[RequestContext], on_complete) -> No
         keep = []
         for ctx, (token, conf) in zip(participants, results):
             if conf < ctx.cutoff.current:
-                ctx.halted_conf = conf
                 continue
             ctx.drafted[len(ctx.chain)] = token
             ctx.chain.append(token)
@@ -559,126 +472,3 @@ def dispatch_spec_burst(engine, dispatches) -> List[int]:
         ctx.metrics.stats.draft_tokens_proposed += n
         ctx.cutoff.on_dispatched()
     return dispatch_burst(engine, entries)
-
-
-def draft_and_dispatch(engine, ctx: RequestContext) -> Generator:
-    """Draft a speculative micro-batch and dispatch it; returns the count.
-
-    Returns 0 when the confidence cutoff halted drafting before the first
-    proposal (the caller decays the cutoff / moves to another request).
-    Single-request form of the batched round: the serving head drafts
-    many requests per round through :func:`draft_round` directly.
-    """
-    proposed = yield from draft_round(engine, [ctx])
-    n = proposed[ctx.req_id]
-    if n:
-        dispatch_spec_burst(engine, [(ctx, n)])
-    return n
-
-
-# ---------------------------------------------------------------------------
-# The single-job head loop.
-# ---------------------------------------------------------------------------
-
-
-def idle_below_cutoff(engine, ctx: RequestContext) -> Generator:
-    """Idle after a draft attempt failed below the cutoff (IV-B2).
-
-    The paper's head retries every ``idle_poll``: wait, draft one pass,
-    fail, decay the cutoff, until logits arrive or a proposal clears.  The
-    chain tip cannot move before a message arrives, so every retry would
-    propose the same token with confidence ``ctx.halted_conf``, and the
-    whole sequence is known in advance.  This waits once: for a message,
-    or for the start of the first retry that would succeed.  On waking it
-    charges the retries that started before now, each as the loop did:
-    one draft-batch sample, ``add_busy`` of one pass, one decay.  A retry
-    whose pass was running when the message arrived is charged too, and
-    the head resumes where that pass ends, as the loop would.  A message
-    at a retry's start instant counts as arriving first.
-    """
-    cfg = engine.config
-    kernel = engine.net.kernel
-    metrics = engine.metrics
-    cutoff = ctx.cutoff
-    cutoff.on_failed_idle()
-    failed_at = kernel.now
-    draft_time = engine.backend.draft_batch_time(1)
-    k = cutoff.failed_attempts_before(ctx.halted_conf)
-    until = None
-    if k is not None:
-        retries = retry_windows(failed_at, draft_time, cfg.idle_poll)
-        until, _ = next(islice(retries, k, None))
-    yield from engine.ep().wait_for_arrival(until)
-
-    now = kernel.now
-    for start, end in retry_windows(failed_at, draft_time, cfg.idle_poll):
-        if start >= now:
-            return
-        metrics.record_draft_batch(1)
-        metrics.add_busy(0, draft_time)
-        cutoff.on_failed_idle()
-        if now <= end:
-            break
-    if now < end:
-        fut = kernel.future("draft_pass")
-        kernel.call_at(end, fut.resolve)
-        yield fut
-
-
-def pipeinfer_head(engine, job: GenerationJob) -> Generator:
-    """Head process; ``engine`` is the owning :class:`PipeInferEngine`."""
-    be = engine.backend
-    cfg = engine.config
-    ep = engine.ep()
-    metrics = engine.metrics
-    kernel = engine.net.kernel
-
-    ranks = engine.target_ranks()
-    first_target, last_target = ranks[0], ranks[-1]
-
-    ctx = new_request_context(
-        engine, job, kv=MultibufferManager(cfg.n_seq_partitions), metrics=metrics
-    )
-
-    # ---- prefill -------------------------------------------------------------
-    prefill_rec = RunRecord(
-        engine.new_run_id(), RunKind.PREFILL, list(job.prompt), 0, ctx.kv.canonical
-    )
-    states = be.slot_states(ctx.chain, 0, len(job.prompt))
-    send_record(engine, prefill_rec, states, want_all_logits=False)
-    msg = yield from ep.recv(last_target, Tag.LOGITS)
-    first = argmax_token(msg.payload.logits[0])
-    ctx.accepted.append(first)
-    ctx.chain.append(first)
-    ctx.prefilled = True
-    metrics.mark_prefill_end(kernel.now)
-
-    # ---- main loop -------------------------------------------------------------
-    while not ctx.target_reached():
-        # Fused stage windows deliver several runs' logits back-to-back;
-        # drain them all before re-walking the priority ladder.
-        drained = False
-        while not ctx.target_reached() and ep.iprobe(last_target, Tag.LOGITS):
-            msg = yield from ep.recv(last_target, Tag.LOGITS)
-            yield from process_run_logits(engine, ctx, msg.payload)
-            drained = True
-        if drained:
-            continue
-
-        if not ctx.fifo.covers_tip(ctx.accepted):
-            dispatch_canonical(engine, ctx)
-            continue
-
-        # ---- continuous speculation ---------------------------------------
-        if spec_allowed(engine, ctx):
-            proposed = yield from draft_and_dispatch(engine, ctx)
-            if not proposed:
-                # Draft confidence halted speculation.
-                yield from idle_below_cutoff(engine, ctx)
-            continue
-
-        # Partitions exhausted or lookahead cap: runs are in flight, so
-        # only their logits can change what the head may do next.
-        yield from ep.wait_for_arrival()
-
-    engine.finish(job, ctx.accepted)

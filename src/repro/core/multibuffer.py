@@ -14,9 +14,9 @@ after that node finishes the predecessor runs.  This is what lets a run
 skip recomputing tokens shared with previous runs *before those runs have
 completed*.
 
-Single-job mode uses one manager whose canonical sequence is 0 and whose
-pool is private.  Serving mode partitions one shared :class:`SequencePool`
-across requests: each admitted request allocates a pool sequence as its
+The head partitions one shared :class:`SequencePool` across requests
+(a single job is the one-request case): each admitted request allocates
+a pool sequence as its
 *canonical* partition for its lifetime (see :func:`acquire_canonical`),
 and its speculative runs draw further partitions from the same pool.  On
 request completion every partition it held returns to the pool, making
@@ -47,13 +47,13 @@ class MultibufferManager:
     """Sequence-partition allocation and cache-op construction.
 
     Args:
-        n_partitions: size of a private pool (single-job mode).  Mutually
-            exclusive with ``pool``.
-        pool: a shared :class:`SequencePool` (serving mode) — several
-            managers, one per request, draw from it concurrently.
+        n_partitions: size of a private pool, canonical sequence 0 (a
+            standalone manager).  Mutually exclusive with ``pool``.
+        pool: a shared :class:`SequencePool` — several managers, one per
+            request, draw from it concurrently.
         canonical_seq: the sequence id holding this request's accepted
-            truth.  0 in single-job mode; a pool-allocated id in serving
-            mode (see :func:`acquire_canonical`).
+            truth: a pool-allocated id on the head (see
+            :func:`acquire_canonical`).
     """
 
     def __init__(

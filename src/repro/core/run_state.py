@@ -206,14 +206,12 @@ class RunFIFO:
 class RequestContext:
     """All head-side state for one generation request.
 
-    The PipeInfer head loop historically kept this state in local
-    variables because it served exactly one job; the serving scheduler
-    multiplexes many requests through one pipeline, so the state lives in
-    a context object instead.  The single-job head builds one context and
-    runs the identical logic through it.
+    The PipeInfer head multiplexes many requests through one pipeline, so
+    each request's state lives in a context object; a single job is the
+    one-context case.
 
     Attributes:
-        req_id: scheduler-assigned request identifier (0 for single-job).
+        req_id: scheduler-assigned request identifier (0 for a single job).
         job: the :class:`~repro.engines.base.GenerationJob` being served.
         accepted: the verified token stream (prompt + generated).
         chain: the drafted working chain
@@ -223,23 +221,19 @@ class RequestContext:
             view (its canonical partition plus pool access).
         cutoff: the request's reactive
             :class:`~repro.core.continuous.CutoffController`.
-        metrics: per-request collector (the engine's own collector in
-            single-job mode).
+        metrics: the request's own collector.
         drafted: position -> drafted token, for acceptance-rate accounting.
             A drafted token is "checked" when verification fixes its
             position's true token; tokens drafted beyond a divergence are
             discarded unchecked.
         n_spec_inflight: live speculative runs (Figure 8's non-continuous
             ablation allows at most one).
-        halted_conf: confidence of the proposal that last dropped this
-            chain out of a draft round: the value an idle head replays the
-            cutoff decay against.
-        arrival: simulated arrival timestamp (0 for single-job).
+        arrival: simulated arrival timestamp (0 for a single job).
         admitted_at: when the scheduler admitted the request.
         finished_at: when the final token was accepted and in-flight runs
             drained.
         prefilled: the prompt's prefill logits have been sampled; drafting
-            and canonical dispatch are gated on this in serving mode.
+            and canonical dispatch are gated on this.
         done: the token budget is met; remaining in-flight runs drain
             without sampling.
         cached_tokens: prompt tokens materialized from the cross-request
@@ -268,7 +262,6 @@ class RequestContext:
     metrics: Any
     drafted: Dict[int, int] = field(default_factory=dict)
     n_spec_inflight: int = 0
-    halted_conf: float = 0.0
     arrival: float = 0.0
     admitted_at: Optional[float] = None
     finished_at: Optional[float] = None

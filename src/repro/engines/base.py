@@ -3,17 +3,18 @@
 An *engine* is one inference strategy.  Engines share the pipeline worker
 (:mod:`repro.engines.worker`) and differ in their head-node process.  A
 :class:`BaseEngine` handles the common wiring: rank layout, layer
-partitioning, worker state, transaction dispatch, prompt prefill, and
-shutdown.  :func:`run_engine` builds a fresh simulation, runs one
-generation job to completion, and returns an :class:`EngineReport`.
+partitioning, worker state, transaction dispatch, and shutdown.
+:func:`run_engine` runs one generation job as a one-request queue on a
+fresh :class:`~repro.serve.cluster.Replica` and returns an
+:class:`EngineReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.cluster.kernel import SimKernel, run_to_completion
+from repro.cluster.kernel import SimKernel
 from repro.cluster.topology import Cluster
 from repro.comm.mpi_sim import Endpoint, Network
 from repro.comm.payloads import (
@@ -26,7 +27,7 @@ from repro.comm.payloads import (
 )
 from repro.comm.transactions import TransactionType, send_transaction
 from repro.engines.backend import Backend
-from repro.metrics.collectors import MetricsCollector
+from repro.metrics.collectors import MetricsCollector, RunStats
 from repro.metrics.report import EngineReport
 from repro.pipeline.partition import partition_for
 from repro.spec.draft import DraftParams
@@ -41,9 +42,11 @@ class EngineConfig:
 
     PipeInfer-specific fields (Section IV): micro-batch size, the number
     of KV sequence partitions, the reactive-cutoff factors, and the
-    ablation switches for Figure 8.  Serving admission is not a knob: it
-    charges each request its static worst-case cell demand against the
-    worker capacity (:class:`repro.core.multibuffer.CellBudget`).
+    ablation switches for Figure 8.  They apply alike to a single job and
+    to a served stream, which run through the same head.  Serving
+    admission is not a knob: it charges each request its static
+    worst-case cell demand against the worker capacity
+    (:class:`repro.core.multibuffer.CellBudget`).
     """
 
     draft: DraftParams = field(default_factory=DraftParams)
@@ -56,18 +59,12 @@ class EngineConfig:
     #: Confidence-cutoff recovery factor (IV-B2): added per successful
     #: continuous-speculation iteration, reset on run acceptance.
     cutoff_recovery: float = 0.06
-    #: Confidence-cutoff decay factor (IV-B2): subtracted when speculation
-    #: halts and no logits are waiting.
+    #: Confidence-cutoff decay factor (IV-B2): subtracted once per draft
+    #: round the cutoff halts before its first proposal.
     cutoff_decay: float = 0.03
     #: Figure 8 ablation switches.
     enable_cancellation: bool = True
     enable_continuous: bool = True
-    #: Cutoff-decay cadence in simulated time (IV-B2): while drafting is
-    #: halted below the cutoff, the single-job head retries one draft
-    #: pass every ``idle_poll`` and decays the cutoff per failure.  The
-    #: retries are replayed from one timed wait (``core/head.py``), so
-    #: the cadence costs no host events.  The serving head never uses it.
-    idle_poll: float = 2e-4
     #: KV cells per worker shard (functional mode sizing).
     n_cells: int = 2048
     #: Cap on decode runs a pipeline stage fuses into one cross-run batch
@@ -111,8 +108,6 @@ class EngineConfig:
             raise ValueError(
                 f"cutoff_decay must be non-negative, got {self.cutoff_decay}"
             )
-        if self.idle_poll <= 0:
-            raise ValueError(f"idle_poll must be positive, got {self.idle_poll}")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be positive, got {self.n_cells}")
         if self.max_fused_runs < 1:
@@ -168,9 +163,11 @@ class BaseEngine:
         self.cluster = network.cluster
         self.config = config
         self.metrics = metrics
-        self.generated_tokens: List[int] = []
         #: Per-request reports, populated by the serving heads.
         self.request_reports: List = []
+        #: req_id -> the request's own collector (its timeline and head
+        #: stats), populated by the serving heads.
+        self.request_metrics: Dict[int, MetricsCollector] = {}
         self._next_run_id = 0
         #: Fault plumbing — populated only by :mod:`repro.faults` runs.
         #: ``injector`` stays None on fault-free simulations.
@@ -277,16 +274,8 @@ class BaseEngine:
         self._procs.append(proc)
         return proc
 
-    def spawn(self, kernel: SimKernel, job: GenerationJob):
-        """Spawn head and worker processes; returns them for liveness checks."""
-        procs = self._spawn_workers(kernel)
-        procs.append(kernel.spawn(self._head(job), name="head"))
-        self._procs = procs
-        self._record_memory()
-        return procs
-
     def spawn_serving(self, kernel: SimKernel, scheduler):
-        """Spawn the workers plus a long-lived request-serving head.
+        """Spawn the workers plus the request-serving head.
 
         ``scheduler`` is the replica's
         :class:`repro.serve.scheduler.RequestScheduler`, into which the
@@ -317,22 +306,13 @@ class BaseEngine:
                 ),
             )
 
-    def _head(self, job: GenerationJob) -> Generator:
-        """The head node's process (single job, shuts the pipeline down).
-
-        The sequential baselines run their :meth:`_generate` loop and
-        finish; PipeInfer overrides this with its asynchronous head.
-        """
-        accepted = yield from self._generate(job)
-        self.finish(job, accepted)
-
     def _generate(self, job: GenerationJob) -> Generator:
         """One request's generation loop; returns the accepted stream.
 
-        Engines implementing this (the sequential baselines) can be driven
-        by the FCFS serving head, which runs many requests back-to-back on
-        one long-lived pipeline.  PipeInfer overrides ``_serve_head``
-        directly with a multiplexing loop instead.
+        Engines implementing this (the sequential baselines) are driven by
+        the FCFS serving head, which runs requests back-to-back on one
+        pipeline.  PipeInfer overrides ``_serve_head`` directly with a
+        multiplexing loop instead.
         """
         raise NotImplementedError(f"{self.name} cannot serve request streams")
 
@@ -438,17 +418,6 @@ class BaseEngine:
             self.ep(), dest, TransactionType.SHUTDOWN, [(ShutdownMsg(), 8.0)], eager=True
         )
 
-    def finish(self, job: GenerationJob, accepted: Sequence[int]) -> None:
-        """Record results and shut the pipeline down.
-
-        A verification batch can accept several tokens at once and overshoot
-        the budget; the result is clipped so every strategy reports exactly
-        ``n_generate`` tokens (making outputs directly comparable).
-        """
-        self.generated_tokens = list(accepted[len(job.prompt):][: job.n_generate])
-        self.metrics.mark_finish(self.net.kernel.now)
-        self.shutdown_pipeline()
-
     def shutdown_pipeline(self) -> None:
         """Relay the shutdown transaction through the worker chain."""
         ranks = self.target_ranks()
@@ -469,6 +438,16 @@ def run_engine(
 ) -> EngineReport:
     """Build a fresh simulation, run one generation, return its report.
 
+    A single job is the one-request case of the serving driver: one
+    :class:`~repro.serve.cluster.Replica` serves a queue holding just
+    ``job``, arriving at time 0, through the engine's serving head.  The
+    report reads the request's own collector for its prefill end, token
+    times and head stats, its
+    :class:`~repro.metrics.report.RequestReport` for the tokens and the
+    finish (the instant the budget was met), and the replica's collector
+    for busy time, node memory, the fusion and draft-width histograms and
+    worker stats; ``stats`` merges the two collectors.
+
     Args:
         engine_factory: engine class (or callable) taking
             (backend, network, config, metrics).
@@ -478,13 +457,19 @@ def run_engine(
             :func:`repro.serve.run.run_serving` instead.
         config: algorithm knobs; defaults to :class:`EngineConfig`.
     """
-    config = config or EngineConfig()
-    kernel = SimKernel()
-    network = Network(kernel, cluster)
-    metrics = MetricsCollector()
-    engine = engine_factory(backend, network, config, metrics)
-    procs = engine.spawn(kernel, GenerationJob(tuple(job.prompt), job.n_generate))
-    run_to_completion(kernel, procs)
+    from repro.serve.cluster import Replica  # cycle avoidance
+    from repro.serve.scheduler import Request
+
+    replica = Replica(0, engine_factory, backend, cluster, config)
+    replica.start()
+    replica.admit(Request(0, GenerationJob(tuple(job.prompt), job.n_generate), 0.0))
+    replica.drain()
+    (request,) = replica.engine.request_reports
+    own = replica.engine.request_metrics[request.req_id]
+    run = replica.metrics
+    run.prefill_end, run.finish_time = own.prefill_end, request.finish_time
+    run.token_times = own.token_times
+    run.stats = RunStats.merged([own.stats, run.stats])
     return EngineReport.from_collector(
-        engine.name, cluster.size, engine.generated_tokens, metrics
+        replica.engine.name, cluster.size, request.tokens, run
     )

@@ -1,7 +1,8 @@
 """Multi-request serving: scheduler, serving heads, and the one driver.
 
-The serving layer turns the single-job simulator into a request-level
-system.  Requests are pushed one at a time into a
+The serving layer is the request-level system every run goes through;
+a single job (:func:`repro.engines.base.run_engine`) is a one-request
+queue on one :class:`Replica`.  Requests are pushed one at a time into a
 :class:`RequestScheduler` — the FCFS admission queue of one long-lived
 pipeline — and the engine's serving head multiplexes work across the
 active requests.  See :mod:`repro.serve.head` for the two head

@@ -49,7 +49,7 @@ from repro.core.head import (
     cancel_run,
     process_prefill_logits,
     send_cancels,
-    spec_allowed_serving,
+    spec_allowed,
     start_draft_round,
     verify_run_logits,
 )
@@ -93,15 +93,17 @@ def _report_for(ctx: RequestContext) -> RequestReport:
 def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
     """Head process serving a request stream with asynchronous speculation.
 
-    The single-job loop's four priorities (sample waiting logits, keep the
-    tip covered, speculate, idle) generalize per iteration to: admit
-    arrived requests, sample the oldest waiting logits (the global
-    dispatch FIFO identifies the owning request), dispatch canonical runs
-    for every request whose tip is uncovered, then run a *batched draft
-    round*: all requests that may speculate draft together (their
-    one-token draft decodes evaluate as one cross-request batch) and
-    their speculative runs leave as one transaction burst — the draft
-    scheduler keeping the pipeline's fusion windows wide in steady state.
+    This is the one PipeInfer head: a single job runs through it as a
+    one-request queue (:func:`repro.engines.base.run_engine`).  The
+    paper's four priorities (sample waiting logits, keep the tip covered,
+    speculate, idle) become, per iteration: admit arrived requests,
+    sample the oldest waiting logits (the global dispatch FIFO identifies
+    the owning request), dispatch canonical runs for every request whose
+    tip is uncovered, then run a *batched draft round*: all requests that
+    may speculate draft together (their one-token draft decodes evaluate
+    as one cross-request batch) and their speculative runs leave as one
+    transaction burst — the draft scheduler keeping the pipeline's fusion
+    windows wide in steady state.
     """
     cfg = engine.config
     ep = engine.ep()
@@ -207,11 +209,12 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
             scheduler.pop_ready(kernel.now)
             if cache is not None:
                 cache.note_admitted(match)
+            metrics = engine.request_metrics[req.req_id] = MetricsCollector()
             ctx = new_request_context(
                 engine,
                 req.job,
                 kv=acquire_canonical(pool),
-                metrics=MetricsCollector(),
+                metrics=metrics,
                 req_id=req.req_id,
                 arrival=req.arrival,
             )
@@ -432,7 +435,8 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
             progressed = True
         for ctx in ready:
             if not proposed[ctx.req_id]:
-                # Draft confidence halted this request's speculation.
+                # Draft confidence halted this request's speculation: the
+                # cutoff decays once per failed round (IV-B2).
                 ctx.cutoff.on_failed_idle()
         if (
             progressed
@@ -620,7 +624,7 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
                 ctx = active[rid]
                 if not ctx.prefilled or ctx.done:
                     continue
-                if not spec_allowed_serving(engine, ctx, n_draftable):
+                if not spec_allowed(engine, ctx, n_draftable):
                     continue
                 ready.append(ctx)
             if ready:
@@ -680,7 +684,7 @@ def sequential_serving_head(engine, scheduler: RequestScheduler) -> Generator:
             yield Delay(nxt.arrival - kernel.now)
         req = scheduler.pop_ready(kernel.now)
         admitted_at = kernel.now
-        per = MetricsCollector()
+        per = engine.request_metrics[req.req_id] = MetricsCollector()
         engine.metrics = per
         try:
             accepted = yield from engine._generate(req.job)

@@ -27,6 +27,7 @@ from repro import (
     Workload,
     cluster_c,
     get_pair,
+    make_testbed,
     run_engine,
     run_serving,
 )
@@ -35,6 +36,59 @@ from repro.workloads import closed_loop_arrivals, make_prompt, poisson_arrivals
 from tests.conftest import PROMPT
 
 N_REQUESTS = 8
+
+
+def _oracle_cell(key, n_nodes, changes=None):
+    """A Figure 4-sized PipeInfer job on testbed C: 64 prompt tokens, 48 out."""
+
+    def build(_tiny_target):
+        pair = get_pair(key)
+        job = GenerationJob(
+            make_prompt("wikitext", 64, pair.target_arch.vocab), n_generate=48
+        )
+        cfg = EngineConfig().ablated(**changes) if changes else None
+
+        def backend(cluster):
+            return OracleBackend(pair, head_node=cluster.nodes[0])
+
+        return backend, n_nodes, job, cfg
+
+    return build
+
+
+def _functional_cell(tiny_target):
+    """A tiny-transformer job whose cutoff often halts drafting."""
+    from repro.spec.draft import DraftParams
+
+    draft = perturbed_copy(tiny_target, noise=0.15, seed=9)
+    cfg = EngineConfig(
+        draft=DraftParams(max_tokens=4, cutoff=0.1),
+        cutoff_recovery=0.01,
+        cutoff_decay=0.01,
+    )
+    job = GenerationJob(prompt=PROMPT, n_generate=24)
+
+    def backend(_cluster):
+        return FunctionalBackend(tiny_target, draft, n_cells=512)
+
+    return backend, 4, job, cfg
+
+
+#: name -> builder of (backend factory taking the cluster, node count,
+#: job, config).
+ONE_REQUEST_CELLS = {
+    "dolphin+tinyllama/4": _oracle_cell("dolphin+tinyllama", 4),
+    "falcon+7b/8": _oracle_cell("falcon+7b", 8),
+    "goliath+xwin7b/15": _oracle_cell("goliath+xwin7b", 15),
+    "dolphin+orca2/32": _oracle_cell("dolphin+orca2", 32),
+    "no_continuous/falcon+7b/15": _oracle_cell(
+        "falcon+7b", 15, {"enable_continuous": False}
+    ),
+    "no_cancellation/dolphin+tinyllama/8": _oracle_cell(
+        "dolphin+tinyllama", 8, {"enable_cancellation": False}
+    ),
+    "functional": _functional_cell,
+}
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +139,28 @@ class TestConcurrentCorrectness:
         for i, job in enumerate(jobs):
             single = run_engine(PipeInferEngine, oracle_backend, cluster, job)
             assert served[i] == single.tokens, f"request {i} diverged"
+
+    @pytest.mark.parametrize("cell", list(ONE_REQUEST_CELLS))
+    def test_single_job_is_a_one_request_serving_run(self, cell, tiny_target):
+        """``run_engine`` is ``run_serving`` on a one-request queue: the same
+        tokens, prefill end, finish, inter-token gaps and head counters."""
+        make_backend, n_nodes, job, cfg = ONE_REQUEST_CELLS[cell](tiny_target)
+        cluster = make_testbed("C", n_nodes)
+        single = run_engine(PipeInferEngine, make_backend(cluster), cluster, job, cfg)
+        cluster = make_testbed("C", n_nodes)
+        (served,) = run_serving(
+            PipeInferEngine, make_backend(cluster), cluster,
+            Workload(jobs=(job,)), cfg,
+        ).requests
+        gaps = served.itl_samples
+        assert single.tokens == served.tokens
+        # Verified tokens over the decode span, prefill end to finish.
+        span = served.finish_time - served.prefill_end
+        assert single.generation_speed == (len(gaps) + 1) / span
+        assert single.itl == pytest.approx(sum(gaps) / len(gaps), rel=1e-12)
+        for name in ("dispatched", "speculative", "completed",
+                     "draft_tokens_proposed", "draft_tokens_accepted"):
+            assert getattr(single.stats, name) == getattr(served.stats, name), name
 
     def test_requests_actually_overlap(self, serving_report):
         """At least two requests must have been in flight simultaneously."""

@@ -1,9 +1,12 @@
-"""Golden single-job pin: every ``EngineReport`` field of the PipeInfer head.
+"""Golden single-job pin: every ``EngineReport`` field of a PipeInfer job.
 
-Rewrites of the single-job head (``core/head.py``'s ``pipeinfer_head``)
+A single job runs as a one-request queue on a serving
+:class:`~repro.serve.cluster.Replica`, through the one PipeInfer head
+(``serve/head.py``'s ``pipeinfer_serving_head``).  Rewrites of that path
 must not move a single simulated number.  This suite runs a fixed set of
-single-job PipeInfer generations and compares ``dataclasses.asdict`` of
-each report against values committed in ``single_job_golden.json``:
+single-job PipeInfer generations through :func:`run_engine` and compares
+``dataclasses.asdict`` of each report against values committed in
+``single_job_golden.json``:
 
 - the 24 Figure 4 cells (every ``SUBFIGURES`` pair on testbed C with
   4, 8, 15 and 32 nodes);
@@ -42,12 +45,11 @@ from repro import (
     get_pair,
     run_engine,
 )
-from repro.cluster.kernel import SimKernel, run_to_completion
 from repro.cluster.testbed import make_testbed
-from repro.comm.mpi_sim import Network
 from repro.experiments.fig4 import SUBFIGURES
-from repro.metrics.collectors import MetricsCollector
 from repro.models.transformer import perturbed_copy
+from repro.serve.cluster import Replica
+from repro.serve.scheduler import Request
 from repro.spec.draft import DraftParams
 from repro.workloads.prompts import make_prompt
 
@@ -168,17 +170,19 @@ def test_head_does_not_poll(index):
     """Fewer process resumes than delivered messages, whole simulation.
 
     Built the way :func:`run_engine` builds it, so the kernel and network
-    counters are readable.  Every head wake-up is caused by a message or
-    by the one instant a halted draft would clear the cutoff; a timed
-    poll costs a resume per tick, hundreds per message on small clusters.
+    counters are readable.  Every head wake-up is caused by a message, the
+    end of a draft round or a sampling delay; a timed poll costs a resume
+    per tick, hundreds per message on small clusters.
     """
     key, n = FIG4_CELLS[index]
     backend, cluster, job = _cell(key, n, index)
-    kernel = SimKernel()
-    network = Network(kernel, cluster)
-    engine = PipeInferEngine(backend, network, EngineConfig(), MetricsCollector())
-    run_to_completion(kernel, engine.spawn(kernel, job))
-    assert len(engine.generated_tokens) == N_GENERATE
+    replica = Replica(0, PipeInferEngine, backend, cluster)
+    replica.start()
+    replica.admit(Request(0, job, 0.0))
+    replica.drain()
+    (request,) = replica.engine.request_reports
+    assert len(request.tokens) == N_GENERATE
+    kernel, network = replica.kernel, replica.network
     ratio = kernel.n_resumes / network.n_delivered
     assert ratio < 1.0, (
         f"{key}/{n}: {kernel.n_resumes} resumes for "

@@ -38,9 +38,7 @@ def test_rejects_negative_cutoff_factors():
         EngineConfig(cutoff_decay=-0.5)
 
 
-def test_rejects_bad_idle_poll_and_cells():
-    with pytest.raises(ValueError, match="idle_poll"):
-        EngineConfig(idle_poll=0.0)
+def test_rejects_bad_cells():
     with pytest.raises(ValueError, match="n_cells"):
         EngineConfig(n_cells=0)
 
