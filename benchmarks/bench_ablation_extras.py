@@ -1,4 +1,4 @@
-"""Extension ablations beyond Figure 8 (DESIGN.md's ablation index).
+"""Extension ablations beyond Figure 8.
 
 - micro-batch size sweep (Section IV-B1 says 1-4),
 - cutoff recovery/decay factors (Section IV-B2's reactive speculation),

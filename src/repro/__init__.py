@@ -16,9 +16,6 @@ Quickstart::
         GenerationJob(prompt=tuple(range(100, 228)), n_generate=256),
     )
     print(report.generation_speed, "tokens/s")
-
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure and table.
 """
 
 from repro.api import (

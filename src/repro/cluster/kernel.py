@@ -14,28 +14,26 @@ Determinism: ties are broken by a monotonically increasing sequence number,
 so identical programs replay identically — a property the output-equivalence
 tests rely on (see ``docs/engine-internals.md``).
 
-Two structures implement that order far cheaper than a single binary heap:
+Two structures implement that order:
 
 - an **at-now FIFO** (a deque) for the dominant "resume at the current
   instant" events — future resolutions, zero-delays, spawns.  These are
   appended and popped in O(1) with no key comparison at all: every at-now
   event is by construction newer (larger sequence number) than anything
   already queued for the current instant.
-- a **calendar queue** (:class:`_CalendarQueue`) for timed events: a dict of
-  coarse time buckets plus a small heap of occupied bucket ids.  The
-  pipeline's event-time distribution is near-monotone (delays cluster around
-  the per-layer compute times and link latencies), so pushes are O(1)
-  appends and pops are an index increment over a sorted per-bucket run.
+- a **binary heap** (``heapq``) for timed events, keyed by
+  ``(time, seq)``.
 
 Events are plain tuples — ``(seq, target, value)`` in the FIFO,
-``(time, seq, target, value)`` in the calendar — where ``target`` is either
-a :class:`Process` to resume with ``value`` or a zero-arg callable.  This
-kills the per-event closure allocation the previous heap kernel paid.
+``(time, seq, target, value)`` in the heap — where ``target`` is either a
+:class:`Process` to resume with ``value`` or a zero-arg callable, so no
+event allocates a closure.  Sequence numbers are unique, so the heap never
+compares past ``seq``.
 
-The previous single-``heapq`` kernel lives on as the test oracle
-``tests/oracles/sim_kernel.py::ReferenceSimKernel``: the differential
-ordering property test replays random event storms on both kernels and
-asserts identical execution traces.
+The test oracle ``tests/oracles/sim_kernel.py::ReferenceSimKernel`` keeps
+every event, at-now ones included, in one heap of closures: the
+differential ordering property test replays random event storms on both
+kernels and asserts identical execution traces.
 
 This is deliberately a small, purpose-built kernel rather than a general
 framework: the engines only need delays, futures, and a notion of "now".
@@ -43,9 +41,8 @@ framework: the engines only need delays, futures, and a notion of "now".
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 #: Type of the generator coroutines driven by the kernel.  Processes yield
@@ -196,176 +193,17 @@ class Process:
         return f"Process({self.name!r}, alive={self.alive})"
 
 
-class _CalendarQueue:
-    """Bucketed priority queue over ``(time, seq, target, value)`` entries.
-
-    Entries hash into coarse time buckets (``int(time / width)``); a small
-    heap tracks which bucket ids are occupied.  The minimum bucket is sorted
-    once into an *active run* consumed by an index pointer, so a pop is an
-    index increment.  A push into a bucket at or before the active run is a
-    ``bisect.insort`` into the unconsumed tail of the run (correct because
-    event times never precede the kernel's ``now``, so such an entry still
-    sorts after everything already consumed); any later bucket is a plain
-    list append.
-
-    The bucket width adapts to the observed event-time distribution: runs
-    larger than ``_MAX_RUN`` trigger a finer width (keeps insorts and sorts
-    small), and a probe window of mostly-single-entry runs triggers a
-    coarser width (keeps the bucket heap small).  Rescaling redistributes
-    only *pending* entries, so the ``(time, seq)`` pop order — the kernel's
-    determinism contract — is unaffected.
-    """
-
-    __slots__ = (
-        "_width", "_inv_width", "_buckets", "_bucket_heap", "_run", "_ri",
-        "_run_id", "_n", "_probe_advances", "_probe_events",
-    )
-
-    _MAX_RUN = 512        # shrink width when one bucket holds more than this
-    _PROBE_WINDOW = 64    # advances per width-growth probe
-    _SCALE = 8.0          # width multiplier per rescale step
-    _MIN_WIDTH = 1e-9
-    _MAX_WIDTH = 1e3
-
-    def __init__(self, width: float = 1e-4) -> None:
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets: dict[int, list] = {}
-        self._bucket_heap: list[int] = []
-        self._run: list = []
-        self._ri = 0
-        self._run_id: Optional[int] = None
-        self._n = 0
-        self._probe_advances = 0
-        self._probe_events = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def push(self, entry: tuple) -> None:
-        self._n += 1
-        b = int(entry[0] * self._inv_width)
-        run_id = self._run_id
-        if run_id is not None and b <= run_id:
-            # At or before the active bucket: insert into the unconsumed
-            # tail of the run so it pops in (time, seq) order.
-            insort(self._run, entry, lo=self._ri)
-            return
-        bucket = self._buckets.get(b)
-        if bucket is None:
-            self._buckets[b] = [entry]
-            heapq.heappush(self._bucket_heap, b)
-        else:
-            bucket.append(entry)
-
-    def peek(self) -> Optional[tuple]:
-        """The minimum entry without removing it, or None when empty."""
-        if self._ri < len(self._run):
-            return self._run[self._ri]
-        if self._n:
-            self._advance()
-            return self._run[self._ri]
-        return None
-
-    def pop(self) -> tuple:
-        i = self._ri
-        if i >= len(self._run):
-            if not self._n:
-                raise IndexError("pop from empty calendar queue")
-            self._advance()
-            i = self._ri
-        entry = self._run[i]
-        self._ri = i + 1
-        self._n -= 1
-        return entry
-
-    def take_at(self, time: float) -> list:
-        """Pop and return every entry stamped exactly ``time``, in order.
-
-        The active run is sorted, so the same-instant entries form a
-        contiguous prefix — one slice instead of a peek+pop call pair per
-        entry.  Entries scheduled *while the returned batch executes* can
-        never land at ``time`` (the kernel routes at-now events to its
-        FIFO), so the slice stays complete and the ``(time, seq)`` order
-        is preserved.
-        """
-        i = self._ri
-        run = self._run
-        if i >= len(run):
-            if not self._n:
-                return []
-            self._advance()
-            i = self._ri
-            run = self._run
-        if run[i][0] != time:
-            return []
-        j = i + 1
-        end = len(run)
-        while j < end and run[j][0] == time:
-            j += 1
-        self._ri = j
-        self._n -= j - i
-        return run[i:j]
-
-    # -- internals ---------------------------------------------------------
-
-    def _advance(self) -> None:
-        """Load the next occupied bucket as the active run (sorted)."""
-        # Width-growth probe: if recent runs averaged fewer than two entries
-        # the buckets are too fine — the bucket heap is doing all the work.
-        self._probe_advances += 1
-        if self._probe_advances >= self._PROBE_WINDOW:
-            if (
-                self._probe_events < 2 * self._PROBE_WINDOW
-                and self._width < self._MAX_WIDTH
-            ):
-                self._rescale(self._width * self._SCALE)
-            self._probe_advances = 0
-            self._probe_events = 0
-        b = heapq.heappop(self._bucket_heap)
-        entries = self._buckets.pop(b)
-        if len(entries) > self._MAX_RUN and self._width > self._MIN_WIDTH:
-            # Bucket too coarse: rescale finer (once) and re-select.
-            self._buckets[b] = entries
-            heapq.heappush(self._bucket_heap, b)
-            self._rescale(self._width / self._SCALE)
-            b = heapq.heappop(self._bucket_heap)
-            entries = self._buckets.pop(b)
-        entries.sort()
-        self._run = entries
-        self._ri = 0
-        self._run_id = b
-        self._probe_events += len(entries)
-
-    def _rescale(self, width: float) -> None:
-        """Re-bucket all pending entries under a new width."""
-        pending = self._run[self._ri:]
-        for bucket in self._buckets.values():
-            pending.extend(bucket)
-        self._width = width
-        self._inv_width = 1.0 / width
-        self._buckets = {}
-        self._bucket_heap = []
-        self._run = []
-        self._ri = 0
-        self._run_id = None
-        n = self._n
-        for entry in pending:
-            self.push(entry)
-        self._n = n
-
-
 class SimKernel:
-    """The event loop: an at-now FIFO, a calendar queue, process bookkeeping.
+    """The event loop: an at-now FIFO, a timed-event heap, process bookkeeping.
 
     Execution order is exactly ascending ``(time, seq)`` — byte-identical to
     the single-heap reference kernel the ordering tests compare against.
-    The split into FIFO and calendar relies on two invariants the
-    scheduling paths maintain:
+    The split into FIFO and heap relies on two invariants the scheduling
+    paths maintain:
 
     - events scheduled *at* the current instant always enter the FIFO (never
-      the calendar), so they carry larger sequence numbers than any calendar
-      entry stamped with the current time;
+      the heap), so they carry larger sequence numbers than any heap entry
+      stamped with the current time;
     - simulated time only advances when the FIFO is empty, so every FIFO
       entry was scheduled at (and runs at) the current ``now``.
     """
@@ -374,7 +212,7 @@ class SimKernel:
         self.now = 0.0
         self._seq = 0
         self._fifo: deque = deque()
-        self._queue = _CalendarQueue()
+        self._heap: list = []
         self._processes: list[Process] = []
         self._n_events = 0
         #: Process resumes executed (``gen.send`` calls).  The batched-inbox
@@ -406,7 +244,7 @@ class SimKernel:
         if time == now:
             self._fifo.append((self._seq, fn, None))
         else:
-            self._queue.push((time, self._seq, fn, None))
+            heappush(self._heap, (time, self._seq, fn, None))
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule a plain callback ``delay`` seconds from now."""
@@ -429,38 +267,32 @@ class SimKernel:
         detect success, and tests assert on process liveness).
         """
         fifo = self._fifo
-        queue = self._queue
+        heap = self._heap
         step = self._step
-        take_at = queue.take_at
         popleft = fifo.popleft
         limit = float("inf") if max_events is None else max_events
         n = self._n_events
+        now = self.now
         try:
             while True:
-                # 1. Same-instant calendar entries run before anything in
-                #    the FIFO: they were scheduled before `now` was reached,
-                #    so they carry strictly smaller sequence numbers.  The
-                #    batch is taken in one call; executing it cannot add
-                #    same-instant calendar entries (those go to the FIFO),
-                #    but it can resolve futures into earlier FIFO slots —
-                #    which still run after the batch, in seq order, because
-                #    every batch entry predates `now` being reached.
-                while True:
-                    batch = take_at(self.now)
-                    if not batch:
-                        break
-                    for entry in batch:
-                        n += 1
-                        if n > limit:
-                            raise SimError(f"exceeded max_events={max_events}")
-                        target = entry[2]
-                        if target.__class__ is Process:
-                            step(target, entry[3])
-                        else:
-                            target()
+                # 1. Same-instant heap entries run before anything in the
+                #    FIFO: they were scheduled before `now` was reached, so
+                #    they carry strictly smaller sequence numbers.  Running
+                #    them cannot add same-instant heap entries (those go to
+                #    the FIFO), but it can resolve futures into FIFO slots —
+                #    which run after these, in seq order.
+                while heap and heap[0][0] == now:
+                    _, _, target, value = heappop(heap)
+                    n += 1
+                    if n > limit:
+                        raise SimError(f"exceeded max_events={max_events}")
+                    if target.__class__ is Process:
+                        step(target, value)
+                    else:
+                        target()
                 # 2. Drain the at-now FIFO.  Events it spawns at the current
-                #    instant land in the FIFO (never the calendar), so no
-                #    calendar re-peek is needed per pop.
+                #    instant land in the FIFO (never the heap), so no heap
+                #    re-peek is needed per pop.
                 while fifo:
                     n += 1
                     if n > limit:
@@ -470,26 +302,16 @@ class SimKernel:
                         step(target, value)
                     else:
                         target()
-                # 3. Advance time to the next calendar event.
-                entry = queue.peek()
-                if entry is None:
+                # 3. Advance time to the next heap event.
+                if not heap:
                     return
-                time = entry[0]
+                time = heap[0][0]
                 if until is not None and time > until:
                     # Horizon reached: leave the event queued for the next
-                    # run() call (the pre-calendar kernel dropped it here).
+                    # run() call.
                     self.now = until
                     return
-                queue.pop()
-                self.now = time
-                n += 1
-                if n > limit:
-                    raise SimError(f"exceeded max_events={max_events}")
-                target = entry[2]
-                if target.__class__ is Process:
-                    step(target, entry[3])
-                else:
-                    target()
+                self.now = now = time
         finally:
             self._n_events = n
 
@@ -507,8 +329,7 @@ class SimKernel:
         """
         if self._fifo:
             return self.now
-        entry = self._queue.peek()
-        return None if entry is None else entry[0]
+        return self._heap[0][0] if self._heap else None
 
     def alive_processes(self) -> list[Process]:
         """Processes that have not finished (parked or runnable)."""
@@ -547,7 +368,7 @@ class SimKernel:
             time = self.now + yielded.duration
             self._seq += 1
             if time > self.now:
-                self._queue.push((time, self._seq, proc, None))
+                heappush(self._heap, (time, self._seq, proc, None))
             else:
                 # Zero (or underflowing) delay: at-now events take the FIFO
                 # so they stay ordered after every queued same-time event.

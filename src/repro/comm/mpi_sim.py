@@ -271,33 +271,6 @@ class Endpoint:
                 return True
         return self.peek(source, tag) is not None
 
-    def wait_for_arrival(self, until=None) -> Generator[Any, Any, bool]:
-        """Park until any message is delivered to this rank, or sim time ``until``.
-
-        Returns True if a message arrived (or one was already available),
-        False when the deadline passed first.  ``until`` is an absolute
-        instant, not a duration: a relative wait would re-round
-        (``now + (until - now)`` need not equal ``until``).  ``until=None``
-        waits indefinitely, with no timer event — correct whenever
-        in-flight pipeline work guarantees a future arrival.
-        """
-        if self._available:
-            return True
-        kernel = self._net.kernel
-        fut = kernel.future(f"arrival@{self.rank}")
-        fut.detail = f"wait_for_arrival at rank {self.rank}"
-        self._arrival_watchers.append(fut)
-
-        if until is not None:
-
-            def timeout() -> None:
-                if not fut.resolved:
-                    fut.resolve(False)
-
-            kernel.call_at(until, timeout)
-        result = yield fut
-        return bool(result)
-
     # -- internals -----------------------------------------------------------
 
     def _take(self, source: int, tag) -> Optional[Message]:

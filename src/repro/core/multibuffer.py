@@ -47,24 +47,15 @@ class MultibufferManager:
     """Sequence-partition allocation and cache-op construction.
 
     Args:
-        n_partitions: size of a private pool, canonical sequence 0 (a
-            standalone manager).  Mutually exclusive with ``pool``.
-        pool: a shared :class:`SequencePool` — several managers, one per
+        pool: the shared :class:`SequencePool` — several managers, one per
             request, draw from it concurrently.
         canonical_seq: the sequence id holding this request's accepted
             truth: a pool-allocated id on the head (see
             :func:`acquire_canonical`).
     """
 
-    def __init__(
-        self,
-        n_partitions: Optional[int] = None,
-        pool: Optional[SequencePool] = None,
-        canonical_seq: int = 0,
-    ) -> None:
-        if (n_partitions is None) == (pool is None):
-            raise ValueError("pass exactly one of n_partitions or pool")
-        self.pool = pool if pool is not None else SequencePool(n_partitions)
+    def __init__(self, pool: SequencePool, canonical_seq: int = 0) -> None:
+        self.pool = pool
         self.canonical = canonical_seq
         #: Partition holding the newest unverified chain cells (NO_CHAIN =
         #: none: the chain is fully accepted / was just reset).

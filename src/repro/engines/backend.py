@@ -332,10 +332,6 @@ class Backend(ABC):
     def logits_time(self, node: NodeSpec, n_logits: int) -> float:
         """Output-head evaluation time at the last rank."""
 
-    @abstractmethod
-    def prefill_chunks(self, node: NodeSpec, layer_range: Tuple[int, int], n_tokens: int) -> List[float]:
-        """Compute delays for prompt prefill (larger batch)."""
-
     # -- message sizes ------------------------------------------------------------
 
     @abstractmethod
@@ -698,9 +694,6 @@ class FunctionalBackend(Backend):
         lo, hi = layer_range
         return [(hi - lo) * self.LAYER_TIME]
 
-    def prefill_chunks(self, node, layer_range, n_tokens):
-        return self.stage_chunks(node, layer_range, n_tokens)
-
     def logits_time(self, node, n_logits):
         return self.LOGITS_TIME
 
@@ -876,11 +869,6 @@ class OracleBackend(Backend):
         return self.target_cost.chunked_stage_times(
             node, hi - lo, n_tokens, self.probe_chunk_layers
         )
-
-    def prefill_chunks(self, node, layer_range, n_tokens):
-        lo, hi = layer_range
-        per_layer = self.target_cost.layer_time(node, n_tokens)
-        return [(hi - lo) * per_layer + node.compute_overhead]
 
     def logits_time(self, node, n_logits):
         return self.target_cost.output_head_time(node, n_logits)

@@ -12,7 +12,7 @@ Shapes come from the models' published configs.  Two conventions:
 ``acceptance`` on a :class:`ModelPair` is the paper's measured token
 acceptance rate where reported (Section V-B); GPU-cluster pairs, for which
 the paper reports no rates, carry estimates chosen to reproduce Figure 9's
-relative ordering (see EXPERIMENTS.md).
+relative ordering.
 """
 
 from __future__ import annotations

@@ -412,7 +412,7 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
         fires later as a no-op (the kernel has no cancel).
         """
         fut = kernel.future(f"arrival@{ep.rank}")
-        fut.detail = f"wait_for_arrival at rank {ep.rank}"
+        fut.detail = f"arrival watch at rank {ep.rank}"
         fut.set_callback(lambda _v: kernel.call_at(kernel.now, step))
         ep._arrival_watchers.append(fut)
         if until is not None:

@@ -3,7 +3,7 @@
 Each experiment module prints the same rows/series the paper's figures plot.
 Rendering is deliberately dependency-free (no matplotlib offline) — a figure
 becomes an aligned text table with one column per x-value and one row per
-series, which is what EXPERIMENTS.md records.
+series.
 """
 
 from __future__ import annotations

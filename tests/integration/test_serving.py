@@ -193,6 +193,39 @@ class TestThroughput:
         assert concurrent.makespan < sequential.makespan
 
 
+class TestOpenLoopQueueing:
+    """Open-loop Poisson traffic with admission capped at four requests."""
+
+    @pytest.mark.parametrize("n_nodes", (4, 8))
+    def test_queue_wait_grows_with_request_rate(self, pair, n_nodes):
+        # Arrivals compress as the rate rises while the capped service
+        # order stays fixed, so the mean queue wait cannot fall.
+        cluster = cluster_c(n_nodes)
+        backend = OracleBackend(pair, head_node=cluster.nodes[0])
+        kinds = ("wikitext", "code", "explain", "paper", "roleplay")
+        jobs = tuple(
+            GenerationJob(
+                make_prompt(kinds[i % len(kinds)], 64, pair.target_arch.vocab),
+                n_generate=32,
+            )
+            for i in range(10)
+        )
+
+        def mean_queue_wait(rate):
+            workload = Workload(
+                jobs=jobs,
+                arrivals=poisson_arrivals(rate, len(jobs), seed=11),
+                max_active=4,
+            )
+            report = run_serving(PipeInferEngine, backend, cluster, workload)
+            assert report.token_counts() == {i: 32 for i in range(len(jobs))}
+            return sum(r.queue_wait for r in report.requests) / len(jobs)
+
+        low, high = mean_queue_wait(0.5), mean_queue_wait(4.0)
+        assert low > 0  # the cap makes admission queueing visible
+        assert high >= low
+
+
 class TestServingReport:
     def test_percentile_fields(self, serving_report):
         r = serving_report

@@ -1,13 +1,14 @@
-"""The pre-calendar heap kernel, kept as the event-ordering reference.
+"""A one-heap kernel, kept as the event-ordering reference.
 
-One binary heap keyed by ``(time, seq)`` and one closure per scheduled
-resume: the plainest implementation of the order
-:class:`repro.cluster.kernel.SimKernel` promises.  The differential
+One binary heap keyed by ``(time, seq)`` for every event, at-now ones
+included, and one closure per scheduled resume: the plainest
+implementation of the order :class:`repro.cluster.kernel.SimKernel`
+promises with its at-now FIFO plus timed-event heap.  The differential
 property test replays random event storms on both kernels and asserts
 identical traces, and the kernel storm test runs the same sender and
 receiver program on both and asserts the same delivered count and final
 clock.  It shares :class:`~repro.cluster.kernel.Process` and
-:class:`~repro.cluster.kernel.Future` with the calendar kernel, so
+:class:`~repro.cluster.kernel.Future` with the kernel, so
 deadlock diagnosis reads the same ``waiting_on`` field on either.
 """
 
@@ -20,7 +21,7 @@ from repro.cluster.kernel import Delay, Future, Process, ProcessGen, SimError
 
 
 class ReferenceSimKernel:
-    """Heap-ordered event loop with the calendar kernel's public surface."""
+    """Heap-ordered event loop with :class:`SimKernel`'s public surface."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []

@@ -192,11 +192,11 @@ def test_determinism_across_identical_runs():
 class TestNextEventTime:
     """``next_event_time`` feeds the streaming session's lockstep step."""
 
-    @pytest.fixture(params=["calendar", "reference"])
+    @pytest.fixture(params=["kernel", "reference"])
     def any_kernel(self, request):
         from oracles.sim_kernel import ReferenceSimKernel
 
-        return SimKernel() if request.param == "calendar" else ReferenceSimKernel()
+        return SimKernel() if request.param == "kernel" else ReferenceSimKernel()
 
     def test_empty_kernel_has_none(self, any_kernel):
         assert any_kernel.next_event_time() is None
@@ -211,7 +211,7 @@ class TestNextEventTime:
         assert any_kernel.next_event_time() is None
 
     def test_at_now_fifo_reports_now(self):
-        # An at-now callback sits in the FIFO, not the calendar, and must
+        # An at-now callback sits in the FIFO, not the heap, and must
         # still surface as "there is work at the current instant".
         k = SimKernel()
         k.call_at(0.0, lambda: None)

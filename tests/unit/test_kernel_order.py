@@ -1,16 +1,16 @@
-"""Calendar-queue kernel vs the reference heap kernel: ordering and edges.
+"""Event kernel vs the reference heap kernel: ordering and edges.
 
-The calendar kernel's determinism contract is that execution order is
-exactly ascending ``(time, seq)`` — byte-identical to the heap kernel
-kept as the test oracle :class:`ReferenceSimKernel`.  The differential
-property test here replays random event storms (delays, futures resolved
-by timers, plain callbacks, mid-run spawns) on both kernels and asserts
-the full execution traces match.  The message storm runs the engines'
-dominant traffic shape on both stacks — the calendar kernel with the
-coalescing :class:`Link`, the heap kernel with one event per message —
-and pins the same simulated outcome plus the coalescing ratio.  The edge
-tests pin the horizon-resume fix, past-scheduling errors, and cumulative
-``max_events`` accounting.
+The kernel's determinism contract is that execution order is exactly
+ascending ``(time, seq)`` — byte-identical to the one-heap kernel kept as
+the test oracle :class:`ReferenceSimKernel`, which has no at-now FIFO.
+The differential property test here replays random event storms (delays,
+futures resolved by timers, plain callbacks, mid-run spawns) on both
+kernels and asserts the full execution traces match.  The message storm
+runs the engines' dominant traffic shape on both stacks — the kernel with
+the coalescing :class:`Link`, the reference kernel with one event per
+message — and pins the same simulated outcome plus the coalescing ratio.
+The edge tests pin the horizon-resume fix, past-scheduling errors, and
+cumulative ``max_events`` accounting.
 """
 
 import random
@@ -35,8 +35,8 @@ KERNELS = [SimKernel, ReferenceSimKernel]
 
 
 #: Candidate delays: heavy on zero and near-ties so same-instant ordering
-#: (the FIFO/calendar split) is exercised hard, plus spread-out values so
-#: the calendar's bucket advance and rescale paths run.
+#: (the FIFO/heap split) is exercised hard, plus spread-out values so
+#: events interleave across many distinct instants.
 _DELAYS = (0.0, 0.0, 1e-9, 1e-6, 1e-6, 3e-6, 1e-4, 7e-4, 0.05, 2.0)
 
 
@@ -95,8 +95,8 @@ def test_random_storms_replay_identically_on_both_kernels(seed):
     assert new == ref
 
 
-def test_same_time_burst_larger_than_a_calendar_run_keeps_seq_order():
-    """>512 entries at one instant forces a calendar rescale mid-storm."""
+def test_large_same_time_burst_keeps_seq_order():
+    """1,300 timed entries at one instant run in the order they were armed."""
     kernel = SimKernel()
     fired = []
     t = 1.0
@@ -108,8 +108,8 @@ def test_same_time_burst_larger_than_a_calendar_run_keeps_seq_order():
 
 
 # ---------------------------------------------------------------------------
-# Message storm: coalescing link on the calendar kernel vs per-message
-# delivery on the heap kernel
+# Message storm: coalescing link on the kernel vs per-message delivery on
+# the reference kernel
 # ---------------------------------------------------------------------------
 
 

@@ -159,51 +159,6 @@ def test_wildcard_source():
     assert got == [1, 0]  # earliest arrival first
 
 
-def test_wait_for_arrival_timeout_and_hit():
-    k, net = build()
-    results = []
-
-    def sender():
-        from repro.cluster.kernel import Delay
-
-        yield Delay(1.0)
-        net.endpoint(0).send("late", 1, Tag.LOGITS, nbytes=8)
-
-    def receiver():
-        ep = net.endpoint(1)
-        r1 = yield from ep.wait_for_arrival(0.01)
-        results.append((r1, k.now))  # timeout, at the absolute deadline
-        r2 = yield from ep.wait_for_arrival(10.0)
-        results.append((r2, k.now))  # arrival, before the deadline
-        r3 = yield from ep.wait_for_arrival(0.5)
-        results.append((r3, k.now))  # already available: no wait
-        yield from ep.recv(0, Tag.LOGITS)
-
-    procs = [k.spawn(sender()), k.spawn(receiver())]
-    run_to_completion(k, procs)
-    assert [r for r, _ in results] == [False, True, True]
-    assert results[0][1] == 0.01
-    assert results[1][1] == results[2][1] > 1.0
-
-
-def test_wait_for_arrival_deadline_is_absolute():
-    """The deadline is hit exactly: no ``now + (until - now)`` re-rounding."""
-    from repro.cluster.kernel import Delay
-
-    k, net = build()
-    start, until = 0.00016189957807444255, 1.5018256178447797
-    assert start + (until - start) != until
-    woke = []
-
-    def receiver():
-        yield Delay(start)
-        r = yield from net.endpoint(1).wait_for_arrival(until)
-        woke.append((r, k.now))
-
-    run_to_completion(k, [k.spawn(receiver())])
-    assert woke == [(False, until)]
-
-
 def test_invalid_destination_rejected():
     k, net = build()
     with pytest.raises(ValueError):

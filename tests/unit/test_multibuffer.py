@@ -5,6 +5,7 @@ import pytest
 from repro.comm.payloads import CacheOpKind
 from repro.core.multibuffer import MultibufferManager, SEQ_END
 from repro.core.run_state import RunKind, RunRecord
+from repro.util.fifo import SequencePool
 
 
 def spec_rec(run_id, tokens, start, seq):
@@ -17,7 +18,7 @@ def canon_rec(pos, token=1):
 
 class TestDispatchOps:
     def test_fresh_chain_copies_from_canonical(self):
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         seq = mb.allocate()
         ops = mb.ops_for_spec_dispatch(seq, accepted_len=10, start_pos=10)
         assert len(ops) == 1
@@ -30,7 +31,7 @@ class TestDispatchOps:
         """With a run in flight, the new partition's whole context comes
         from the newest speculative partition (which holds everything,
         including the tip cell the canonical sequence lacks)."""
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         s1 = mb.allocate()
         mb.on_spec_dispatch(s1)
         s2 = mb.allocate()
@@ -40,7 +41,7 @@ class TestDispatchOps:
         assert (s1, 9, 14) in srcs
 
     def test_gap_without_chain_partition_is_an_error(self):
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         seq = mb.allocate()
         with pytest.raises(RuntimeError):
             mb.ops_for_spec_dispatch(seq, accepted_len=10, start_pos=12)
@@ -50,7 +51,7 @@ class TestAcceptanceOps:
     def test_full_acceptance_copies_all_inputs(self):
         """Run at 10..12 fully accepted plus bonus: accepted_len_after = 14,
         so input cells 10..12 are swapped into the canonical sequence."""
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         rec = spec_rec(1, [5, 6, 7], 10, seq=2)
         ops = mb.ops_for_acceptance(rec, accepted_len_after=14)
         assert len(ops) == 1
@@ -61,25 +62,25 @@ class TestAcceptanceOps:
         """Run at 10..12 diverging at 11 (accepted_len_after=12): the cell
         at 11 holds the rejected draft and must NOT reach sequence 0 —
         the regression behind the output-equivalence bug."""
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         rec = spec_rec(1, [5, 6, 7], 10, seq=2)
         ops = mb.ops_for_acceptance(rec, accepted_len_after=12)
         assert len(ops) == 1
         assert (ops[0].p0, ops[0].p1) == (10, 11)
 
     def test_immediate_divergence_yields_no_ops(self):
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         rec = spec_rec(1, [5, 6], 10, seq=2)
         assert mb.ops_for_acceptance(rec, accepted_len_after=11) == []
 
     def test_canonical_needs_no_swap(self):
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         assert mb.ops_for_acceptance(canon_rec(5), accepted_len_after=7) == []
 
 
 class TestReleaseAndLifecycle:
     def test_release_removes_whole_partition(self):
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         rec = spec_rec(1, [5], 10, seq=3)
         ops = mb.ops_for_release(rec)
         assert len(ops) == 1
@@ -88,11 +89,11 @@ class TestReleaseAndLifecycle:
         assert (ops[0].p0, ops[0].p1) == (0, SEQ_END)
 
     def test_canonical_release_is_empty(self):
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         assert mb.ops_for_release(canon_rec(5)) == []
 
     def test_complete_returns_partition_to_pool(self):
-        mb = MultibufferManager(2)
+        mb = MultibufferManager(pool=SequencePool(2))
         s = mb.allocate()
         mb.on_spec_dispatch(s)
         rec = spec_rec(1, [5], 10, seq=s)
@@ -101,7 +102,7 @@ class TestReleaseAndLifecycle:
         assert mb.chain_seq == 0  # newest chain partition left flight
 
     def test_complete_of_older_run_keeps_chain_seq(self):
-        mb = MultibufferManager(4)
+        mb = MultibufferManager(pool=SequencePool(4))
         s1, s2 = mb.allocate(), mb.allocate()
         mb.on_spec_dispatch(s1)
         mb.on_spec_dispatch(s2)
@@ -109,7 +110,7 @@ class TestReleaseAndLifecycle:
         assert mb.chain_seq == s2
 
     def test_chain_reset(self):
-        mb = MultibufferManager(2)
+        mb = MultibufferManager(pool=SequencePool(2))
         s = mb.allocate()
         mb.on_spec_dispatch(s)
         mb.on_chain_reset()
