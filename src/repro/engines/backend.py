@@ -258,16 +258,6 @@ class Backend(ABC):
         return None
 
     @abstractmethod
-    def compute_stage(
-        self, ws: WorkerState, meta: DecodeMeta, hidden_in: Optional[np.ndarray]
-    ) -> Optional[np.ndarray]:
-        """Evaluate the stage's layers for a batch (after timing delays).
-
-        Allocates the batch's KV cells on this shard and returns the
-        outgoing hidden states (None in performance mode).  First stages
-        embed from ``meta.slots`` when ``hidden_in`` is None.
-        """
-
     def compute_stage_multi(
         self, ws: WorkerState, window: Sequence[Any]
     ) -> List[Optional[np.ndarray]]:
@@ -275,25 +265,14 @@ class Backend(ABC):
 
         ``window`` is an ordered sequence of :class:`StageRun` entries and
         plain ``List[CacheOp]`` batches, exactly as the transactions
-        arrived at the worker.  The default walks the window in order —
-        sequential per-run semantics — which is the reference behaviour
-        fused implementations must reproduce (the functional backend
-        concatenates compatible runs into one cross-run batch instead).
+        arrived at the worker.  The result must equal walking the window
+        in order — cache ops applied, each run's KV cells allocated and
+        its layers evaluated one run at a time; first stages embed from
+        ``meta.slots`` when a run's ``hidden`` is None.
 
         Returns one output per :class:`StageRun`, in window order; skipped
-        runs yield None.
+        runs and performance-mode runs yield None.
         """
-        outs: List[Optional[np.ndarray]] = []
-        for item in window:
-            if isinstance(item, StageRun):
-                outs.append(
-                    None if item.skip
-                    else self.compute_stage(ws, item.meta, item.hidden)
-                )
-            else:
-                for op in item:
-                    apply_cache_op(ws.cache, op)
-        return outs
 
     @abstractmethod
     def finalize_logits(
@@ -307,26 +286,12 @@ class Backend(ABC):
     def stage_chunks(
         self, node: NodeSpec, layer_range: Tuple[int, int], n_tokens: int
     ) -> List[float]:
-        """Per-chunk compute delays for a stage.
+        """Per-chunk compute delays for a stage evaluating ``n_tokens``
+        (a fused window's concatenated count: weights stream once).
 
         Chunk boundaries are the worker's cancellation probe points
         ("thread synchronization points", Section IV-D2).
         """
-
-    def stage_chunks_multi(
-        self,
-        node: NodeSpec,
-        layer_range: Tuple[int, int],
-        token_counts: Sequence[int],
-    ) -> List[float]:
-        """Compute delays for a *fused* window of several runs' batches.
-
-        A fused batch streams each layer's weights once for all of its
-        runs, so it is charged a single stage time for the concatenated
-        token count — not the sum of the singleton stage times (which
-        would each re-pay the weight stream and dispatch overhead).
-        """
-        return self.stage_chunks(node, layer_range, sum(token_counts))
 
     @abstractmethod
     def logits_time(self, node: NodeSpec, n_logits: int) -> float:
@@ -571,20 +536,6 @@ class FunctionalBackend(Backend):
     def worker_cell_capacity(self) -> Optional[int]:
         return self.n_cells
 
-    def compute_stage(self, ws, meta, hidden_in):
-        cache: KVCache = ws.cache
-        hidden = self.target.embed(meta.slots) if hidden_in is None else hidden_in
-        # One ndarray of cell indices per batch; every layer's K/V write
-        # fancy-indexes with it directly (no per-layer list conversion).
-        cells = np.asarray(
-            cache.allocate([(s.pos, s.seq_ids) for s in meta.slots]),
-            dtype=np.intp,
-        )
-        return self.target.forward_stage(
-            hidden, meta.slots, cache, ws.layer_range, cells=cells,
-            arena=ws.arena,
-        )
-
     def compute_stage_multi(self, ws, window):
         """Fused cross-run execution with sequential-order metadata.
 
@@ -824,20 +775,12 @@ class OracleBackend(Backend):
     def worker_cell_capacity(self) -> Optional[int]:
         return self.n_cells
 
-    def compute_stage(self, ws, meta, hidden_in):
-        cache: RangeKVCache = ws.cache
-        for slot in meta.slots:
-            for seq in slot.seq_ids:
-                cache.add_tokens(seq, (slot.pos,))
-        return None
-
     def compute_stage_multi(self, ws, window):
         """Metadata-only fused window: record every live run's cells.
 
         Interval metadata has no cross-run interaction, so the fused form
-        is simply the in-order walk without per-run dispatch; the fused
-        *timing* benefit comes from :meth:`stage_chunks_multi` charging
-        the window one stage time.
+        is simply the in-order walk; the fused *timing* benefit comes from
+        the worker charging the window one :meth:`stage_chunks` time.
         """
         cache: RangeKVCache = ws.cache
         outs: List[Optional[np.ndarray]] = []

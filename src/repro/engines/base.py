@@ -1,16 +1,17 @@
 """Shared engine machinery: configuration, wiring, dispatch helpers.
 
-An *engine* is one inference strategy.  Engines share the pipeline worker
-(:mod:`repro.engines.worker`) and differ in their head-node process.  A
-:class:`BaseEngine` handles the common wiring: rank layout, layer
-partitioning, worker state, transaction dispatch, and shutdown.
-:func:`run_engine` runs one generation job as a one-request queue on a
-fresh :class:`~repro.serve.cluster.Replica` and returns an
-:class:`EngineReport`.
+An *engine* is one inference strategy.  Every engine runs every target
+stage in the pipeline worker (:mod:`repro.engines.worker`); engines differ
+in their head-node process, which holds no layers.  A :class:`BaseEngine`
+handles the common wiring: rank layout, layer partitioning, worker state,
+transaction dispatch, and shutdown.  :func:`run_engine` runs one
+generation job as a one-request queue on a fresh
+:class:`~repro.serve.cluster.Replica` and returns an :class:`EngineReport`.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -211,7 +212,7 @@ class BaseEngine:
     # -- spawn -------------------------------------------------------------------
 
     def _spawn_workers(self, kernel: SimKernel):
-        """Spawn the pipeline worker processes (everything but the head)."""
+        """Spawn a pipeline worker on every target rank (a baseline's rank 0 too)."""
         ranks = self.target_ranks()
         parts = self.partition()
         procs = []
@@ -223,8 +224,6 @@ class BaseEngine:
             last = i == len(ranks) - 1
             ws = self.backend.make_worker_state(rank, parts[i], first, last)
             self._worker_states[rank] = ws
-            if rank == self.head_rank():
-                continue  # the head drives its own stage inline
             proc = self._spawn_worker_proc(kernel, i, rank, ws)
             self._worker_procs[rank] = proc
             procs.append(proc)
@@ -306,13 +305,14 @@ class BaseEngine:
                 ),
             )
 
-    def _generate(self, job: GenerationJob) -> Generator:
+    def _generate(self, job: GenerationJob, metrics: MetricsCollector) -> Generator:
         """One request's generation loop; returns the accepted stream.
 
-        Engines implementing this (the sequential baselines) are driven by
-        the FCFS serving head, which runs requests back-to-back on one
-        pipeline.  PipeInfer overrides ``_serve_head`` directly with a
-        multiplexing loop instead.
+        The loop records its timeline and head stats in ``metrics``, the
+        request's own collector.  Engines implementing this (the
+        sequential baselines) are driven by the FCFS serving head, which
+        runs requests back-to-back on one pipeline.  PipeInfer overrides
+        ``_serve_head`` directly with a multiplexing loop instead.
         """
         raise NotImplementedError(f"{self.name} cannot serve request streams")
 
@@ -420,13 +420,7 @@ class BaseEngine:
 
     def shutdown_pipeline(self) -> None:
         """Relay the shutdown transaction through the worker chain."""
-        ranks = self.target_ranks()
-        first_downstream = (
-            ranks[0] if ranks and ranks[0] != self.head_rank() else
-            (ranks[1] if len(ranks) > 1 else None)
-        )
-        if first_downstream is not None:
-            self.send_shutdown(first_downstream)
+        self.send_shutdown(self.target_ranks()[0])
 
 
 def run_engine(
@@ -466,10 +460,11 @@ def run_engine(
     replica.drain()
     (request,) = replica.engine.request_reports
     own = replica.engine.request_metrics[request.req_id]
-    run = replica.metrics
-    run.prefill_end, run.finish_time = own.prefill_end, request.finish_time
-    run.token_times = own.token_times
-    run.stats = RunStats.merged([own.stats, run.stats])
+    # The copy rebinds fields: neither collector is modified.
+    view = copy.copy(replica.metrics)
+    view.prefill_end, view.finish_time = own.prefill_end, request.finish_time
+    view.token_times = own.token_times
+    view.stats = RunStats.merged([own.stats, replica.metrics.stats])
     return EngineReport.from_collector(
-        replica.engine.name, cluster.size, request.tokens, run
+        replica.engine.name, cluster.size, request.tokens, view
     )

@@ -1,9 +1,10 @@
 """Normal single-node inference: the paper's first baseline.
 
 The whole target model lives on one node; tokens are generated one at a
-time with no communication.  This is the ground-truth strategy for output
-equivalence and the memory-floor reference in the efficiency analysis.
-It is :class:`IterativeEngine` on a one-rank pipeline holding every layer.
+time with no network traffic.  This is the ground-truth strategy for
+output equivalence and the memory-floor reference in the efficiency
+analysis.  It is :class:`IterativeEngine` on a one-rank pipeline: rank
+0's worker holds every layer and talks to the head over loopback.
 """
 
 from __future__ import annotations

@@ -3,9 +3,12 @@
 Synchronous speculate-then-verify (paper Section III): the head drafts a
 speculation tree with the local draft model — during which the *entire
 target pipeline sits idle* — then pushes one verification batch through
-the pipeline and blocks on the logits.  Tree branches are isolated with
-KV sequence ids; after verification the accepted path is copied to the
-canonical sequence and the branch sequences are dropped.
+the pipeline and blocks on the logits.  Every target stage, rank 0's
+included, is a :func:`~repro.engines.worker.pipeline_worker`; the head
+holds no target layers.  Tree branches are isolated with KV sequence
+ids; after verification the head sends the first stage the cache ops
+that copy the accepted path to the canonical sequence and drop the
+branch sequences, and every stage applies them in order.
 
 This is the baseline whose time-to-first-token suffers from waiting on the
 speculative tree, and whose throughput collapses when acceptance is low —
@@ -21,6 +24,7 @@ from repro.comm.payloads import CacheOp, CacheOpKind, TokenSlot
 from repro.engines.backend import SEQ_END
 from repro.engines.base import BaseEngine, GenerationJob
 from repro.engines.iterative import PipelinedHeadMixin
+from repro.metrics.collectors import MetricsCollector
 from repro.models.sampler import argmax_token
 from repro.spec.draft import draft_tree
 from repro.spec.tree_attention import assign_tree_seqs
@@ -48,15 +52,14 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
     def hosts_draft(self) -> bool:
         return True
 
-    def _generate(self, job: GenerationJob) -> Generator:
+    def _generate(self, job: GenerationJob, metrics: MetricsCollector) -> Generator:
         be = self.backend
         cfg = self.config
-        metrics = self.metrics
         chain = be.new_chain(job.prompt)
         accepted: List[int] = list(job.prompt)
         drafter = _PrefixDrafter(be)
 
-        first = yield from self.prefill(job, chain)
+        first = yield from self.prefill(job, chain, metrics)
         accepted.append(first)
         chain.append(first)
 
@@ -75,14 +78,14 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
             tree = draft_tree(drafter, accepted, tip_pos, cfg.draft)
             draft_cost = max(len(tree), 1) * per_draft_token
             yield Delay(draft_cost)
-            metrics.add_busy(0, draft_cost / max(len(nodes), 1))
+            self.metrics.add_busy(0, draft_cost / max(len(nodes), 1))
 
             if len(tree) == 0:
                 # Draft had no confident proposal: fall back to one
                 # iterative step so progress is guaranteed.
                 slots = [TokenSlot(accepted[tip_pos], tip_pos, (0,), True)]
                 states = be.slot_states(chain, tip_pos, 1)
-                logits = yield from self.run_batch(slots, states, is_spec=False)
+                logits = yield from self.run_batch(metrics, slots, states, is_spec=False)
                 nxt = argmax_token(logits[0])
                 accepted.append(nxt)
                 chain.reconcile(accepted)
@@ -112,7 +115,7 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
                 CacheOp(CacheOpKind.SEQ_CP, 0, b, 0, tip_pos + 1)
                 for b in branch_seqs
             ]
-            logits = yield from self.run_batch(slots, states, True, pre_ops=pre_ops)
+            logits = yield from self.run_batch(metrics, slots, states, True, pre_ops=pre_ops)
             metrics.stats.speculative += 1
             metrics.stats.draft_tokens_proposed += len(tree)
 
@@ -131,13 +134,7 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
                 CacheOp(CacheOpKind.SEQ_RM, b, b, 0, SEQ_END)
                 for b in branch_seqs
             )
-            from repro.engines.backend import apply_cache_op
-
-            for op in post_ops:
-                apply_cache_op(self._worker_states[0].cache, op)
-            ranks = self.target_ranks()
-            if len(ranks) > 1:
-                self.send_cache_ops(ranks[1], post_ops)
+            self.send_cache_ops(ranks[0], post_ops)
 
             accepted.extend(outcome.new_tokens)
             chain.reconcile(accepted)

@@ -1,4 +1,7 @@
-"""The pipeline worker process, shared by every distributed engine.
+"""The pipeline worker process: it runs every target stage of every engine.
+
+No head evaluates a stage; a baseline's head shares rank 0 with the first
+stage's worker and feeds it over the rank's zero-cost loopback link.
 
 A worker rank loops on its mailbox:
 
@@ -376,8 +379,8 @@ def _schedule_window(
             metrics.stats.fused_runs += width
         # One fused stage time for the concatenated batch — weights are
         # streamed once across the window, not once per run.
-        chunks = backend.stage_chunks_multi(
-            node, ws.layer_range, [sr.meta.n_tokens for sr in live]
+        chunks = backend.stage_chunks(
+            node, ws.layer_range, sum(sr.meta.n_tokens for sr in live)
         )
         if injector is not None:
             factor = injector.stage_time_factor(rank)

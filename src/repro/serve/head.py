@@ -56,7 +56,9 @@ from repro.core.head import (
 from repro.cache.prefix import PrefixCacheManager, PrefixMatch
 from repro.core.multibuffer import SEQ_END, CellBudget, acquire_canonical
 from repro.core.run_state import RequestContext, RunKind
-from repro.engines.backend import apply_cache_op
+# Not called here: bench/tests/test_bench_tracer.py checks through this
+# name that the tracer patches a function in every module importing it.
+from repro.engines.backend import apply_cache_op  # noqa: F401
 from repro.metrics.collectors import MetricsCollector, RunStats
 from repro.metrics.report import RequestReport
 from repro.serve.scheduler import RequestScheduler, post_match_cell_demand
@@ -660,13 +662,11 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
 def sequential_serving_head(engine, scheduler: RequestScheduler) -> Generator:
     """FCFS serving for synchronous engines: run requests back-to-back.
 
-    Per-request metrics come from swapping a fresh collector onto the
-    engine for the duration of ``_generate`` (workers hold the aggregate
-    collector captured at spawn, so their busy time keeps accumulating
-    globally; the head's own busy time is merged back afterwards).
+    Each request's ``_generate`` records its timeline and head stats in a
+    fresh collector of its own; stage busy time, worker stats and the
+    head's draft cost accumulate in ``engine.metrics``, the replica's.
     """
     kernel = engine.net.kernel
-    base_metrics = engine.metrics
     reports: List[RequestReport] = []
 
     while scheduler.has_pending() or scheduler.stream_open():
@@ -685,13 +685,7 @@ def sequential_serving_head(engine, scheduler: RequestScheduler) -> Generator:
         req = scheduler.pop_ready(kernel.now)
         admitted_at = kernel.now
         per = engine.request_metrics[req.req_id] = MetricsCollector()
-        engine.metrics = per
-        try:
-            accepted = yield from engine._generate(req.job)
-        finally:
-            engine.metrics = base_metrics
-        for rank, seconds in per.busy_time.items():
-            base_metrics.add_busy(rank, seconds)
+        accepted = yield from engine._generate(req.job, per)
         finish = kernel.now
         reports.append(
             RequestReport(
@@ -713,13 +707,10 @@ def sequential_serving_head(engine, scheduler: RequestScheduler) -> Generator:
 
         # Clear the finished request's KV cells on every stage so the next
         # request's positions start clean.
-        ops = [CacheOp(CacheOpKind.SEQ_RM, 0, 0, 0, SEQ_END)]
-        ranks = engine.target_ranks()
-        if engine.head_rank() in engine._worker_states:
-            apply_cache_op(engine._worker_states[engine.head_rank()].cache, ops[0])
-        if len(ranks) > 1:
-            engine.send_cache_ops(ranks[1], ops)
+        engine.send_cache_ops(
+            engine.target_ranks()[0], [CacheOp(CacheOpKind.SEQ_RM, 0, 0, 0, SEQ_END)]
+        )
 
     engine.request_reports = reports
-    base_metrics.mark_finish(kernel.now)
+    engine.metrics.mark_finish(kernel.now)
     engine.shutdown_pipeline()

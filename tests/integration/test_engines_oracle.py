@@ -13,12 +13,15 @@ from repro import (
     IterativeEngine,
     OracleBackend,
     PipeInferEngine,
+    SingleNodeEngine,
     SpeculativeEngine,
     cluster_a,
     cluster_c,
     get_pair,
     run_engine,
 )
+from repro.serve.cluster import Replica
+from repro.serve.scheduler import Request
 
 JOB = GenerationJob(prompt=tuple(range(100, 164)), n_generate=64)
 
@@ -80,6 +83,39 @@ class TestCalibration:
             )
             rates[key] = r.acceptance_rate
         assert rates["goliath+xwin7b"] < rates["dolphin+orca2"] < rates["dolphin+tinyllama"]
+
+
+class TestOneStagePath:
+    @pytest.mark.parametrize(
+        "engine, n_nodes",
+        [
+            (PipeInferEngine, 4),
+            (IterativeEngine, 4),
+            (SpeculativeEngine, 4),
+            (SingleNodeEngine, 1),
+        ],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_every_target_stage_is_a_worker(self, pair, engine, n_nodes):
+        """Every target stage runs in ``pipeline_worker``: the head holds
+        no layers, so the first stage records its own fusion windows, and
+        the engine's collector stays the replica's for the whole run."""
+        cluster = cluster_c(n_nodes)
+        replica = Replica(0, engine, backend_for(pair, cluster), cluster)
+        replica.start()
+        replica.admit(Request(0, GenerationJob(tuple(range(100, 116)), 8), 0.0))
+        mid_run = 1.0
+        seen = []
+        replica.kernel.call_at(
+            mid_run, lambda: seen.append(replica.engine.metrics is replica.metrics)
+        )
+        replica.drain()
+        eng = replica.engine
+        (request,) = eng.request_reports
+        assert request.admitted_at < mid_run < request.finish_time
+        assert sorted(eng._worker_procs) == eng.target_ranks()
+        assert eng.target_ranks()[0] in replica.metrics.fusion_width
+        assert seen == [True]
 
 
 class TestReports:

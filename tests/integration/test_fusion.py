@@ -162,6 +162,10 @@ class TestMidFusionCancellation:
         # Runs 2 and 3 were evaluated as one fused window.
         hist = metrics.fusion_width.get(1, {})
         assert hist.get(2, 0) >= 1, f"expected a width-2 window, got {hist}"
+        # ... and charged one stage time (4 x 0.05 s) for both runs: the
+        # two windows' chunks plus output-head time stay under the 0.6 s
+        # that three per-run stage passes would cost.
+        assert 0.4 <= metrics.busy_time[1] < 0.6
         # The cancelled run wrote no cells; the surviving fused run did.
         assert ws.cache.has_entry(2, 3)
         assert not ws.cache.has_entry(3, 5)

@@ -9,4 +9,7 @@ with the same inputs and asserts the same observable behaviour.
 - :class:`~oracles.kv_cache.ReferenceKVCache`: per-cell sets of
   sequence ids, against ``repro.models.kv_cache.KVCache`` and
   ``repro.models.range_cache.RangeKVCache``.
+- :func:`~oracles.stage.compute_stage`: one run's functional stage
+  evaluated on its own, against the fused window of
+  ``repro.engines.backend.FunctionalBackend.compute_stage_multi``.
 """

@@ -22,6 +22,7 @@ import pytest
 from repro.comm.payloads import CacheOp, CacheOpKind, DecodeMeta, TokenSlot
 from repro.engines.backend import FunctionalBackend, StageRun, apply_cache_op
 from repro.models.transformer import TinyTransformer, perturbed_copy
+from oracles.stage import compute_stage
 from tests.conftest import TINY_CFG
 
 SEQ_END = 1 << 40
@@ -40,7 +41,7 @@ def prefill_state(backend):
     """A worker state whose canonical sequence holds the prompt."""
     ws = backend.make_worker_state(1, (0, backend.n_target_layers), True, True)
     slots = [TokenSlot(t, i, (0,), True) for i, t in enumerate(PROMPT)]
-    backend.compute_stage(ws, DecodeMeta(0, slots, False), None)
+    compute_stage(backend, ws, DecodeMeta(0, slots, False), None)
     return ws
 
 
@@ -67,7 +68,7 @@ def run_sequential(backend, ws, window):
         if isinstance(item, StageRun):
             outs.append(
                 None if item.skip
-                else backend.compute_stage(ws, item.meta, item.hidden)
+                else compute_stage(backend, ws, item.meta, item.hidden)
             )
         else:
             for op in item:
