@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Tuple, Union
 
 #: Type of the generator coroutines driven by the kernel.  Processes yield
 #: Delay or Future instances and receive the future's value at resume.
@@ -70,6 +70,9 @@ class StuckSimulationError(SimError):
             fut = getattr(proc, "waiting_on", None)
             if fut is None:
                 what = "unknown (never parked on a future)"
+            elif isinstance(fut.detail, tuple):
+                kind, source, tag, rank = fut.detail
+                what = f"{kind}(source={source}, tag={tag}) at rank {rank}"
             else:
                 what = fut.detail or f"future {fut.label!r}"
             lines.append(f"{proc.name!r} waiting on {what}")
@@ -117,10 +120,11 @@ class Future:
         #: events without suspending a generator.
         self._callback = None
         self.label = label
-        #: Optional human-readable description of what resolving this future
-        #: means (e.g. ``"recv(source=0, tag=5)"``) — surfaced by
-        #: :class:`StuckSimulationError` when a deadlock is diagnosed.
-        self.detail: Optional[str] = None
+        #: Optional description of what resolving this future means —
+        #: text, or a receive's ``(kind, source, tag, rank)`` that
+        #: :class:`StuckSimulationError` formats only when a deadlock is
+        #: diagnosed (parking a receive then builds no string).
+        self.detail: Union[str, Tuple[str, Any, Any, int], None] = None
 
     def resolve(self, value: Any = None) -> None:
         """Resolve with ``value``; wakes the waiter (if any) at sim-now."""

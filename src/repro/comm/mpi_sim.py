@@ -160,7 +160,7 @@ class Endpoint:
         if msg is not None:
             return msg
         fut = self._net.kernel.future(f"recv@{self.rank}")
-        fut.detail = f"recv(source={source}, tag={tag}) at rank {self.rank}"
+        fut.detail = ("recv", source, tag, self.rank)
         self._pending.append(_RecvRequest(source, tag, fut, consume=True))
         msg = yield fut
         return msg
@@ -229,7 +229,7 @@ class Endpoint:
         if msg is not None:
             return msg
         fut = self._net.kernel.future(f"probe@{self.rank}")
-        fut.detail = f"probe(source={source}, tag={tag}) at rank {self.rank}"
+        fut.detail = ("probe", source, tag, self.rank)
         self._pending.append(_RecvRequest(source, tag, fut, consume=False))
         msg = yield fut
         return msg

@@ -264,8 +264,8 @@ def verify_run_logits(
         len(accepted), rec.start_pos, rec.tokens, payload.logits
     )
 
+    old_len = len(accepted)
     if outcome.new_tokens:
-        old_len = len(accepted)
         accepted.extend(outcome.new_tokens)
         # Drafted-token accounting: verification just fixed the true
         # token at each new position; drafted tokens there were checked.
@@ -288,23 +288,21 @@ def verify_run_logits(
     release()
 
     # ---- chain reconciliation and invalidation -------------------------
-    if not chain.matches_prefix(accepted):
-        # Find the divergence point: first index where the drafted
-        # chain disagrees (pure extensions reconcile without one).
-        div = None
-        limit = min(len(chain.tokens), len(accepted))
-        for i in range(limit):
-            if chain.tokens[i] != accepted[i]:
-                div = i
-                break
-        chain.reconcile(accepted)
-        if div is not None:
-            mb.on_chain_reset()
-            for dead in ctx.fifo.invalidate_after(div):
-                cancel_run(engine, ctx, dead, invalid=True, cancels=cancels)
-            # Tokens drafted beyond the divergence die unchecked.
-            for p in [p for p in ctx.drafted if p >= len(accepted)]:
-                del ctx.drafted[p]
+    # The chain started with the accepted stream on entry, so only the
+    # newly accepted positions can disagree with it.
+    common = chain.common_prefix(accepted, old_len)
+    if common < min(len(chain), len(accepted)):
+        # Divergence: drafted tokens from ``common`` on were wrong.
+        chain.reconcile(accepted, common)
+        mb.on_chain_reset()
+        for dead in ctx.fifo.invalidate_after(common):
+            cancel_run(engine, ctx, dead, invalid=True, cancels=cancels)
+        # Tokens drafted beyond the divergence die unchecked.
+        for p in [p for p in ctx.drafted if p >= len(accepted)]:
+            del ctx.drafted[p]
+    elif len(chain) < len(accepted):
+        # Pure extension: verification ran past the drafted chain.
+        chain.reconcile(accepted, common)
     for stale in ctx.fifo.mark_superfluous(accepted):
         cancel_run(engine, ctx, stale, invalid=False, cancels=cancels)
     return t

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,27 +78,29 @@ class ChainState:
             raise RuntimeError("chain has no oracle states (functional mode)")
         return self._states[n_tokens]
 
-    def reconcile(self, truth: Sequence[int]) -> None:
+    def common_prefix(self, truth: Sequence[int], start: int) -> int:
+        """Length of the prefix the chain shares with ``truth``, given that
+        their first ``start`` tokens already agree — O(new positions)."""
+        tokens = self.tokens
+        limit = min(len(tokens), len(truth))
+        common = start
+        while common < limit and tokens[common] == truth[common]:
+            common += 1
+        return common
+
+    def reconcile(self, truth: Sequence[int], common: int) -> None:
         """Reset the chain to ``truth``, keeping the common-prefix states.
 
-        Called when verification diverges from the drafted suffix: the
-        drafted tokens beyond the accepted stream are discarded.
+        ``common`` is how many leading tokens the chain and ``truth``
+        already share (:meth:`common_prefix`, or known to the caller), so
+        the chain truncates in place and appends ``truth``'s tail —
+        O(change), not O(context).
         """
-        common = 0
-        limit = min(len(self.tokens), len(truth))
-        while common < limit and self.tokens[common] == truth[common]:
-            common += 1
-        self.tokens = self.tokens[:common]
+        del self.tokens[common:]
         if self._states is not None:
-            self._states = self._states[: common + 1]
+            del self._states[common + 1 :]
         for t in truth[common:]:
             self.append(t)
-
-    def matches_prefix(self, truth: Sequence[int]) -> bool:
-        """True when the chain starts with ``truth`` (no divergence)."""
-        if len(self.tokens) < len(truth):
-            return False
-        return all(self.tokens[i] == truth[i] for i in range(len(truth)))
 
 
 @dataclass
@@ -204,11 +206,22 @@ class Backend(ABC):
         nothing to release (oracle chains carry their own states).
         """
 
+    # A backend is the tree drafter of spec.draft.draft_tree, over cursors:
+    # opaque handles on "the chain plus a path of drafted tokens".  The
+    # oracle backend's cursor is the rolling state, so a tree edge costs
+    # one ``advance``; the functional backend's is the token list itself.
+
     @abstractmethod
-    def propose_alternatives(
-        self, prefix: Sequence[int], n: int
-    ) -> List[Tuple[int, float]]:
-        """Top-``n`` draft proposals for an arbitrary prefix (tree drafting)."""
+    def draft_cursor(self, chain: ChainState) -> Any:
+        """The tree-drafting cursor for the chain's full token list."""
+
+    @abstractmethod
+    def advance_cursor(self, cursor: Any, token: int) -> Any:
+        """The cursor one drafted ``token`` further along."""
+
+    @abstractmethod
+    def propose_alternatives(self, cursor: Any, n: int) -> List[Tuple[int, float]]:
+        """Top-``n`` draft proposals at a tree cursor, best first."""
 
     @abstractmethod
     def draft_token_time(self) -> float:
@@ -330,17 +343,6 @@ class Backend(ABC):
         Entry *i* is the rolling state *after* that slot's token — exactly
         what the last rank needs to produce the slot's logits.  Functional
         backends return None.
-        """
-        return None
-
-    def slot_states_for_prefixes(
-        self, prefixes: Sequence[Sequence[int]]
-    ) -> Optional[List[int]]:
-        """Oracle states for arbitrary per-slot prefixes (tree batches).
-
-        Each prefix must *include* its slot's token; the returned state is
-        the rolling state after the full prefix.  Functional backends
-        return None.
         """
         return None
 
@@ -512,8 +514,14 @@ class FunctionalBackend(Backend):
         if self._draft_plane is not None:
             self._draft_plane.release(chain)
 
-    def propose_alternatives(self, prefix: Sequence[int], n: int) -> List[Tuple[int, float]]:
-        logits = self._draft_logits(prefix)
+    def draft_cursor(self, chain: ChainState) -> List[int]:
+        return list(chain.tokens)
+
+    def advance_cursor(self, cursor: List[int], token: int) -> List[int]:
+        return cursor + [token]
+
+    def propose_alternatives(self, cursor: List[int], n: int) -> List[Tuple[int, float]]:
+        logits = self._draft_logits(cursor)
         probs = softmax_probs(logits)
         order = np.argsort(-probs)[:n]
         return [(int(t), float(probs[t])) for t in order]
@@ -724,10 +732,15 @@ class OracleBackend(Backend):
         conf = self.draft_oracle.confidence_from_state(state)
         return token, conf
 
-    def propose_alternatives(self, prefix: Sequence[int], n: int) -> List[Tuple[int, float]]:
-        state = self.oracle.init_state(prefix)
-        token = self.draft_oracle.next_token_from_state(state)
-        conf = self.draft_oracle.confidence_from_state(state)
+    def draft_cursor(self, chain: ChainState) -> int:
+        return chain.state_after(len(chain))
+
+    def advance_cursor(self, cursor: int, token: int) -> int:
+        return self.oracle.advance(cursor, token)
+
+    def propose_alternatives(self, cursor: int, n: int) -> List[Tuple[int, float]]:
+        token = self.draft_oracle.next_token_from_state(cursor)
+        conf = self.draft_oracle.confidence_from_state(cursor)
         out = [(token, conf)]
         for k in range(1, n):
             alt = (token + 7919 * k) % self.vocab
@@ -762,11 +775,6 @@ class OracleBackend(Backend):
     def slot_states(self, chain: ChainState, start_index: int, n: int) -> Optional[List[int]]:
         return [chain.state_after(start_index + i + 1) for i in range(n)]
 
-    def slot_states_for_prefixes(
-        self, prefixes: Sequence[Sequence[int]]
-    ) -> Optional[List[int]]:
-        return [self.oracle.init_state(p) for p in prefixes]
-
     # -- worker compute ---------------------------------------------------------------
 
     def make_worker_state(self, rank, layer_range, first, last) -> WorkerState:
@@ -781,15 +789,21 @@ class OracleBackend(Backend):
         Interval metadata has no cross-run interaction, so the fused form
         is simply the in-order walk; the fused *timing* benefit comes from
         the worker charging the window one :meth:`stage_chunks` time.
+        Each live run's positions are grouped by sequence id and recorded
+        with one ``add_tokens`` per sequence (a set union, so the order of
+        a run's own writes does not matter).
         """
         cache: RangeKVCache = ws.cache
         outs: List[Optional[np.ndarray]] = []
         for item in window:
             if isinstance(item, StageRun):
                 if not item.skip:
+                    by_seq: Dict[int, List[int]] = {}
                     for slot in item.meta.slots:
                         for seq in slot.seq_ids:
-                            cache.add_tokens(seq, (slot.pos,))
+                            by_seq.setdefault(seq, []).append(slot.pos)
+                    for seq, positions in by_seq.items():
+                        cache.add_tokens(seq, positions)
                 outs.append(None)
             else:
                 for op in item:

@@ -10,6 +10,12 @@ ids; after verification the head sends the first stage the cache ops
 that copy the accepted path to the canonical sequence and drop the
 branch sequences, and every stage applies them in order.
 
+Head work is paid per new token, not per context token: the tree is
+drafted from the backend's cursor for the chain (the oracle backend's
+rolling state, advanced once per tree edge), the tree nodes' cursors
+are their verification slots' oracle states, and the chain only ever
+appends the newly accepted tokens.
+
 This is the baseline whose time-to-first-token suffers from waiting on the
 speculative tree, and whose throughput collapses when acceptance is low —
 the behaviours Figures 4 and 5 quantify.
@@ -17,7 +23,7 @@ the behaviours Figures 4 and 5 quantify.
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence
+from typing import Generator, List
 
 from repro.cluster.kernel import Delay
 from repro.comm.payloads import CacheOp, CacheOpKind, TokenSlot
@@ -29,19 +35,6 @@ from repro.models.sampler import argmax_token
 from repro.spec.draft import draft_tree
 from repro.spec.tree_attention import assign_tree_seqs
 from repro.spec.verify import verify_tree
-
-
-class _PrefixDrafter:
-    """Adapter presenting the backend's draft model as a spec.draft.Drafter."""
-
-    def __init__(self, backend) -> None:
-        self._backend = backend
-
-    def propose(self, prefix: Sequence[int]):
-        return self._backend.propose_alternatives(prefix, 1)[0]
-
-    def propose_alternatives(self, prefix: Sequence[int], n: int):
-        return self._backend.propose_alternatives(prefix, n)
 
 
 class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
@@ -57,7 +50,6 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
         cfg = self.config
         chain = be.new_chain(job.prompt)
         accepted: List[int] = list(job.prompt)
-        drafter = _PrefixDrafter(be)
 
         first = yield from self.prefill(job, chain, metrics)
         accepted.append(first)
@@ -75,7 +67,7 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
         while len(accepted) - len(job.prompt) < job.n_generate:
             tip_pos = len(accepted) - 1
             # ---- speculation phase: the pipeline is tied up drafting.
-            tree = draft_tree(drafter, accepted, tip_pos, cfg.draft)
+            tree = draft_tree(be, be.draft_cursor(chain), tip_pos, cfg.draft)
             draft_cost = max(len(tree), 1) * per_draft_token
             yield Delay(draft_cost)
             self.metrics.add_busy(0, draft_cost / max(len(nodes), 1))
@@ -88,7 +80,7 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
                 logits = yield from self.run_batch(metrics, slots, states, is_spec=False)
                 nxt = argmax_token(logits[0])
                 accepted.append(nxt)
-                chain.reconcile(accepted)
+                chain.reconcile(accepted, tip_pos + 1)
                 metrics.record_tokens(self.net.kernel.now, 1)
                 continue
 
@@ -106,11 +98,11 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
             for i, node in enumerate(tree.nodes):
                 seqs = tuple(sorted(node_seqs[i]))
                 slots.append(TokenSlot(node.token, node.pos, seqs, True))
-            prefixes = [accepted[: tip_pos + 1]]
-            prefixes.extend(
-                accepted + tree.path_tokens(i) for i in range(len(tree))
-            )
-            states = be.slot_states_for_prefixes(prefixes)
+            # The tip's state comes from the chain; an oracle tree node's
+            # cursor is already the rolling state after its path.
+            states = be.slot_states(chain, tip_pos, 1)
+            if states is not None:
+                states.extend(node.cursor for node in tree.nodes)
             pre_ops = [
                 CacheOp(CacheOpKind.SEQ_CP, 0, b, 0, tip_pos + 1)
                 for b in branch_seqs
@@ -137,7 +129,7 @@ class SpeculativeEngine(PipelinedHeadMixin, BaseEngine):
             self.send_cache_ops(ranks[0], post_ops)
 
             accepted.extend(outcome.new_tokens)
-            chain.reconcile(accepted)
+            chain.reconcile(accepted, tip_pos + 1)
             metrics.record_tokens(self.net.kernel.now, len(outcome.new_tokens))
 
         return accepted

@@ -124,6 +124,9 @@ def pipeline_worker(
             )
 
     def drain_cancels() -> None:
+        # Runs at every sync point; nearly all find no cancel waiting.
+        if not ep._n_avail.get(Tag.CANCEL):
+            return
         for cmsg in ep.recv_ready(ANY_SOURCE, Tag.CANCEL):
             record_cancel(cmsg.payload.run_id)
 
@@ -159,6 +162,7 @@ def _worker_loop(
     #: otherwise re-parked as an arrival watcher, so the worker wakes
     #: exactly once per window, at max(window end, next arrival).
     gate_box = [None]
+    gate_label = f"window-gate@{rank}"
 
     def on_window_done() -> None:
         in_flight[0] = False
@@ -174,7 +178,7 @@ def _worker_loop(
 
     while True:
         if in_flight[0]:
-            gate = kernel.future(f"window-gate@{rank}")
+            gate = kernel.future(gate_label)
             gate_box[0] = (gate, True)
             yield gate
         elif not ep.iprobe(ANY_SOURCE, wake_tags):

@@ -367,7 +367,8 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
                 mb.on_run_complete(rec)
             ctx.n_spec_inflight = 0
             mb.on_chain_reset()
-            ctx.chain.reconcile(ctx.accepted)
+            # The chain starts with the accepted stream: drop the drafts.
+            ctx.chain.reconcile(ctx.accepted, len(ctx.accepted))
             for p in [p for p in ctx.drafted if p >= len(ctx.accepted)]:
                 del ctx.drafted[p]
             if ctx.done:

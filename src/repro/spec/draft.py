@@ -5,27 +5,44 @@ iteratively, extending candidates until the top confidence falls below a
 cutoff or the tree reaches its token budget.  Engines consume drafting
 through the small :class:`Drafter` protocol so oracle models (performance
 mode) and real tiny transformers (functional mode) are interchangeable.
+Tree drafting walks drafter-owned *cursors* rather than token lists, so a
+drafter whose state extends incrementally pays per tree edge, not per
+context token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Protocol, Sequence, Tuple
+from typing import Any, List, Protocol, Sequence, Tuple
 
 from repro.spec.tree import SpecTree
 
 
 class Drafter(Protocol):
-    """Anything that can greedily propose the next token for a prefix."""
+    """Anything that can greedily propose the next token for a prefix.
+
+    :func:`draft_chain` proposes from token lists (``propose``).
+    :func:`draft_tree` proposes from *cursors* (``propose_alternatives``,
+    ``advance_cursor``): opaque values the drafter owns, each standing for
+    a token prefix.  The caller hands :func:`draft_tree` the cursor of the
+    tree's root prefix, and the tree moves it one ``advance_cursor`` per
+    edge.  A prefix-based drafter uses the token list itself as its cursor
+    (advancing appends); the oracle backend uses the rolling hash state,
+    so an edge costs one hash step and each tree node's cursor is the
+    state its verification slot needs.  Engine backends
+    (:class:`~repro.engines.backend.Backend`) are the tree drafters.
+    """
 
     def propose(self, prefix: Sequence[int]) -> Tuple[int, float]:
         """Return (token, confidence) for the greedy continuation of ``prefix``."""
         ...
 
-    def propose_alternatives(
-        self, prefix: Sequence[int], n: int
-    ) -> List[Tuple[int, float]]:
-        """Top-``n`` proposals, best first (used by branching trees)."""
+    def propose_alternatives(self, cursor: Any, n: int) -> List[Tuple[int, float]]:
+        """Top-``n`` proposals at ``cursor``, best first (branching trees)."""
+        ...
+
+    def advance_cursor(self, cursor: Any, token: int) -> Any:
+        """The cursor for ``cursor``'s prefix extended by ``token``."""
         ...
 
 
@@ -81,15 +98,17 @@ def draft_chain(
 
 def draft_tree(
     drafter: Drafter,
-    prefix: Sequence[int],
+    root: Any,
     base_pos: int,
     params: DraftParams,
     cutoff_override: float | None = None,
 ) -> SpecTree:
-    """Draft a speculation tree continuing ``prefix``.
+    """Draft a speculation tree continuing the prefix at cursor ``root``.
 
-    Expands best-confidence-first: a frontier of (tree index, prefix)
-    candidates is grown until the budget or cutoff halts it.  Secondary
+    Expands best-confidence-first: a frontier of (tree index, cursor)
+    candidates is grown until the budget or cutoff halts it.  Each node
+    keeps the cursor of its root-to-node path (:attr:`SpecNode.cursor`),
+    advanced once from its parent's.  Secondary
     branches are opened only when their confidence is competitive
     (within ``branch_margin`` of the best) — a cheap stand-in for
     SpecInfer's learned expansion policies that keeps trees narrow when
@@ -97,12 +116,12 @@ def draft_tree(
     """
     cutoff = params.cutoff if cutoff_override is None else cutoff_override
     tree = SpecTree(base_pos)
-    # Frontier entries: (confidence, parent index, prefix tokens).
-    frontier: List[Tuple[float, int, List[int]]] = [(1.0, -1, list(prefix))]
+    # Frontier entries: (confidence, parent index, drafter cursor).
+    frontier: List[Tuple[float, int, Any]] = [(1.0, -1, root)]
     while frontier and len(tree) < params.max_tokens:
         frontier.sort(key=lambda e: -e[0])
-        _, parent, working = frontier.pop(0)
-        proposals = drafter.propose_alternatives(working, params.branch_width)
+        _, parent, cursor = frontier.pop(0)
+        proposals = drafter.propose_alternatives(cursor, params.branch_width)
         if not proposals:
             continue
         best_conf = proposals[0][1]
@@ -113,6 +132,7 @@ def draft_tree(
                 break
             if rank > 0 and conf < max(cutoff, best_conf - params.branch_margin):
                 continue
-            node = tree.add(token, conf, parent)
-            frontier.append((conf, node, working + [token]))
+            child = drafter.advance_cursor(cursor, token)
+            node = tree.add(token, conf, parent, cursor=child)
+            frontier.append((conf, node, child))
     return tree

@@ -10,7 +10,7 @@ while the SpecInfer-style baseline can verify branching trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Any, List, Sequence
 
 
 @dataclass
@@ -23,12 +23,16 @@ class SpecNode:
         parent: index of the parent node within the tree (-1 for roots,
             which continue directly from the accepted tip).
         pos: absolute sequence position this token would occupy.
+        cursor: the drafter's cursor after this node's root-to-node path
+            (see :class:`~repro.spec.draft.Drafter`); None for trees not
+            built by a drafter.
     """
 
     token: int
     confidence: float
     parent: int
     pos: int
+    cursor: Any = None
 
 
 class SpecTree:
@@ -39,7 +43,9 @@ class SpecTree:
         self.base_pos = base_pos
         self.nodes: List[SpecNode] = []
 
-    def add(self, token: int, confidence: float, parent: int = -1) -> int:
+    def add(
+        self, token: int, confidence: float, parent: int = -1, cursor: Any = None
+    ) -> int:
         """Append a node; returns its index.
 
         Position is derived from the parent's depth: roots sit at
@@ -48,7 +54,7 @@ class SpecTree:
         if parent >= len(self.nodes):
             raise IndexError(f"parent {parent} does not exist")
         pos = self.base_pos + 1 if parent < 0 else self.nodes[parent].pos + 1
-        self.nodes.append(SpecNode(token, confidence, parent, pos))
+        self.nodes.append(SpecNode(token, confidence, parent, pos, cursor))
         return len(self.nodes) - 1
 
     def __len__(self) -> int:

@@ -11,6 +11,7 @@ from repro import (
     TinyTransformer,
     TransformerConfig,
 )
+import repro.serve.head as serve_head
 from repro.models.transformer import perturbed_copy
 from repro.spec.draft import DraftParams
 
@@ -50,3 +51,26 @@ def functional_config() -> EngineConfig:
 @pytest.fixture()
 def small_job() -> GenerationJob:
     return GenerationJob(prompt=PROMPT, n_generate=24)
+
+
+@pytest.fixture()
+def verify_entry_checks(monkeypatch) -> list:
+    """Check the verify entry invariant on every verification of the test.
+
+    ``verify_run_logits`` scans only the newly accepted positions for a
+    divergence, which is exact only if the request's chain starts with
+    its accepted stream whenever verification is entered.  The fixture
+    wraps the serving head's call, asserts that on entry and appends one
+    entry per checked call to the returned list.
+    """
+    checked: list = []
+    verify = serve_head.verify_run_logits
+
+    def checking(engine, ctx, payload, *args, **kwargs):
+        n = len(ctx.accepted)
+        assert ctx.chain.tokens[:n] == ctx.accepted
+        checked.append(n)
+        return verify(engine, ctx, payload, *args, **kwargs)
+
+    monkeypatch.setattr(serve_head, "verify_run_logits", checking)
+    return checked

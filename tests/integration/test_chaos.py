@@ -90,6 +90,18 @@ def crash_plan(seed):
     )
 
 
+def test_chain_starts_with_accepted_on_verify_through_recovery(
+    pair, workload, baseline, verify_entry_checks
+):
+    """Crash recovery drops every request's drafts (``reconcile`` with
+    the accepted length), so verification still finds each chain
+    starting with its accepted stream after the restart."""
+    rep = serve(pair, workload, crash_plan(seed=1))
+    assert rep.outputs() == baseline.outputs()
+    assert rep.stats.worker_restarts >= 1 and rep.stats.reprefilled_tokens > 0
+    assert verify_entry_checks
+
+
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_loss_jitter_crash_transparent_across_seeds(pair, workload, baseline, seed):
     rep = serve(pair, workload, crash_plan(seed))

@@ -8,7 +8,9 @@ analytic costs.
 
 import pytest
 
+import repro.models.oracle as oracle_module
 from repro import (
+    EngineConfig,
     GenerationJob,
     IterativeEngine,
     OracleBackend,
@@ -22,6 +24,7 @@ from repro import (
 )
 from repro.serve.cluster import Replica
 from repro.serve.scheduler import Request
+from repro.spec.draft import DraftParams
 
 JOB = GenerationJob(prompt=tuple(range(100, 164)), n_generate=64)
 
@@ -116,6 +119,37 @@ class TestOneStagePath:
         assert sorted(eng._worker_procs) == eng.target_ranks()
         assert eng.target_ranks()[0] in replica.metrics.fusion_width
         assert seen == [True]
+
+
+class TestHostCostPerToken:
+    @pytest.mark.parametrize(
+        "engine, draft",
+        [
+            (SpeculativeEngine, DraftParams()),
+            (SpeculativeEngine, DraftParams(branch_width=3, branch_margin=0.9)),
+            (PipeInferEngine, DraftParams()),
+        ],
+        ids=["speculative", "speculative-branching", "pipeinfer"],
+    )
+    def test_no_full_prefix_hash_after_admission(self, pair, engine, draft, monkeypatch):
+        """Every oracle state after admission comes from a chain's rolling
+        states or a tree cursor, one ``advance`` per new token.  The
+        full-prefix hash behind ``OracleLM.init_state`` therefore only
+        ever hashes the empty prefix, each chain's starting state."""
+        cluster = cluster_c(8)
+        be = backend_for(pair, cluster)
+        lengths = []
+        full_hash = oracle_module.hash_tokens
+
+        def spy(seed, tokens, salt=0):
+            tokens = list(tokens)
+            lengths.append(len(tokens))
+            return full_hash(seed, tokens, salt)
+
+        monkeypatch.setattr(oracle_module, "hash_tokens", spy)
+        report = run_engine(engine, be, cluster, JOB, EngineConfig(draft=draft))
+        assert len(report.tokens) == JOB.n_generate
+        assert lengths and set(lengths) == {0}
 
 
 class TestReports:

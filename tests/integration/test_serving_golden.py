@@ -209,6 +209,17 @@ def test_report_matches_golden(name, pair, golden):
         pytest.fail(f"{name}: report diverged from golden in {diffs}")
 
 
+@pytest.mark.parametrize(
+    "name", ["pipeinfer_closed", "pipeinfer_crash", "multiturn_prefix", "cluster_prompt_hash"]
+)
+def test_chain_starts_with_accepted_on_verify(name, pair, golden, verify_entry_checks):
+    """Every verification finds the chain starting with the accepted
+    stream (what the O(new tokens) reconcile relies on), and checking it
+    leaves the report on its golden."""
+    assert RUNS[name](pair) == golden[name]
+    assert verify_entry_checks
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(f"usage: {sys.argv[0]} --record")

@@ -105,7 +105,7 @@ class TestBatchedEqualsSequential:
         for cs in (chains_b, chains_s):
             cs[0].append(11)
             cs[0].append(12)
-            cs[0].reconcile([5, 6, 7, 20])
+            cs[0].reconcile([5, 6, 7, 20], 3)
         batched = be_batch.propose_multi(chains_b)
         sequential = [be_seq.propose(c) for c in chains_s]
         assert_proposals_match(batched, sequential)
@@ -172,8 +172,9 @@ class TestBatchedEqualsSequential:
                 i = int(rng.integers(0, len(chains_b)))
                 keep = max(1, len(chains_b[i].tokens) - int(rng.integers(1, 3)))
                 truth = chains_b[i].tokens[:keep] + [int(rng.integers(0, TINY_CFG.vocab))]
-                chains_b[i].reconcile(list(truth))
-                chains_s[i].reconcile(list(truth))
+                common = chains_b[i].common_prefix(truth, 0)
+                chains_b[i].reconcile(list(truth), common)
+                chains_s[i].reconcile(list(truth), common)
             batched = be_batch.propose_multi(chains_b)
             sequential = [be_seq.propose(c) for c in chains_s]
             assert_proposals_match(batched, sequential)

@@ -19,23 +19,56 @@ class TestChainState:
     def test_reconcile_pure_extension(self):
         o = OracleLM(seed=1)
         chain = ChainState([1, 2], oracle=o)
-        chain.reconcile([1, 2, 3, 4])
+        chain.reconcile([1, 2, 3, 4], 2)
         assert chain.tokens == [1, 2, 3, 4]
         assert chain.state_after(4) == o.init_state([1, 2, 3, 4])
 
     def test_reconcile_divergence_truncates(self):
         o = OracleLM(seed=1)
         chain = ChainState([1, 2, 5, 6], oracle=o)
-        chain.reconcile([1, 2, 9])
+        chain.reconcile([1, 2, 9], 2)
         assert chain.tokens == [1, 2, 9]
         assert chain.state_after(3) == o.init_state([1, 2, 9])
 
-    def test_matches_prefix(self):
-        chain = ChainState([1, 2, 3])
-        assert chain.matches_prefix([1, 2])
-        assert chain.matches_prefix([1, 2, 3])
-        assert not chain.matches_prefix([1, 9])
-        assert not chain.matches_prefix([1, 2, 3, 4])  # longer than chain
+    # Verification's reconcile step: the chain starts with accepted[:old_len]
+    # on entry, so the scan starts at old_len.  Each case checks the O(new)
+    # scan and the in-place reconcile against a full scan from position 0
+    # and a chain rebuilt from scratch.
+
+    @staticmethod
+    def full_scan(tokens, truth):
+        common = 0
+        while common < min(len(tokens), len(truth)) and tokens[common] == truth[common]:
+            common += 1
+        return common
+
+    def check_reconcile(self, chain_tokens, accepted, old_len):
+        o = OracleLM(seed=3)
+        chain = ChainState(chain_tokens, oracle=o)
+        common = chain.common_prefix(accepted, old_len)
+        assert common == self.full_scan(chain_tokens, accepted)
+        chain.reconcile(accepted, common)
+        ref = ChainState(accepted, oracle=o)
+        assert chain.tokens == ref.tokens
+        assert [chain.state_after(i) for i in range(len(chain) + 1)] == [
+            ref.state_after(i) for i in range(len(ref) + 1)
+        ]
+        return common
+
+    def test_divergence_at_old_len(self):
+        # Drafted 7, 8 past accepted [1, 2]; verification accepted 9 instead.
+        assert self.check_reconcile([1, 2, 7, 8], [1, 2, 9], old_len=2) == 2
+
+    def test_divergence_after_new_matches(self):
+        assert self.check_reconcile([1, 2, 7, 8, 6], [1, 2, 7, 9], old_len=2) == 3
+
+    def test_pure_extension_within_chain(self):
+        # Every newly accepted token was the drafted one: no divergence.
+        assert self.check_reconcile([1, 2, 7, 8, 6], [1, 2, 7, 8], old_len=2) == 4
+
+    def test_chain_shorter_than_accepted(self):
+        # Verification ran past the drafted chain: the chain is a prefix.
+        assert self.check_reconcile([1, 2, 7], [1, 2, 7, 8, 5], old_len=2) == 3
 
     def test_functional_chain_has_no_states(self):
         chain = ChainState([1, 2], oracle=None)

@@ -6,7 +6,8 @@ from repro.spec.draft import DraftParams, draft_chain, draft_tree
 
 
 class ScriptedDrafter:
-    """Drafter returning scripted (token, confidence) per call."""
+    """Drafter returning scripted (token, confidence) per call; its tree
+    cursor is the token list."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -20,6 +21,9 @@ class ScriptedDrafter:
     def propose_alternatives(self, prefix, n):
         tok, conf = self.propose(prefix)
         return [(tok + i, conf * (0.5**i)) for i in range(n)]
+
+    def advance_cursor(self, prefix, token):
+        return prefix + [token]
 
 
 class TestParams:
