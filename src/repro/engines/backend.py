@@ -194,7 +194,7 @@ class Backend(ABC):
         (and leave identical per-chain draft-KV state) — batching is a
         scheduling optimization, never a semantic one.  The default is
         that sequential reference; the functional backend overrides it
-        with a single cross-chain ``batched_grouped_attention`` pass.
+        with a single cross-chain draft forward.
         """
         return [self.propose(chain) for chain in chains]
 
@@ -491,9 +491,9 @@ class FunctionalBackend(Backend):
         """One draft forward proposing the next token for every chain.
 
         Each chain contributes the slots past its cached plane prefix
-        (usually one: its newest token); the concatenated batch runs as a
-        single ``batched_grouped_attention`` pass per draft layer, with
-        per-chain sequence ids keeping the attention views disjoint.  The
+        (usually one: its newest token); the concatenated batch runs as
+        one draft forward, one row group per chain, with per-chain
+        sequence ids keeping the attention views disjoint.  The
         ``want_logits`` slots — each chain's last token, in chain order —
         yield one (token, confidence) proposal per chain.
         """
@@ -553,14 +553,15 @@ class FunctionalBackend(Backend):
            are allocated — and each cache-op batch applied — exactly where
            its transaction sat in the window, so allocation order and
            sequence metadata match the sequential execution cell for
-           cell.  Each run's visibility rows are *snapshotted* at its own
-           point in the order: later allocations and copies can never leak
-           into an earlier run's mask.
+           cell.  Each run's compact visibility plan (``(cells, mask)``
+           from :meth:`KVCache.visible_matrix`) is *snapshotted* at its
+           own point in the order: later allocations and copies can never
+           leak into an earlier run's mask.
         2. **Tensor pass, one fused batch per group.**  Compatible runs
-           are concatenated (hiddens, positions, cells, stacked mask rows)
-           and evaluated with a single ``forward_stage`` call — one
-           block-diagonal/per-run-masked ``batched_grouped_attention``
-           pass per layer — then split back into per-run activations.
+           are concatenated (hiddens, cells) and evaluated with a single
+           ``forward_stage`` call that takes each run's compact
+           visibility plan — attention stays per run, over just the
+           cells the run sees — then split back into per-run activations.
 
         Grouping is conservative: when a run's freshly allocated cells
         intersect cells *visible to* (or owned by) runs already in the
@@ -573,8 +574,8 @@ class FunctionalBackend(Backend):
         cache: KVCache = ws.cache
         runs = [it for it in window if isinstance(it, StageRun)]
         outs: List[Optional[np.ndarray]] = [None] * len(runs)
-        #: (run_index, hidden, slots, positions, cells, visible) per live run.
-        planned: List[Tuple[int, np.ndarray, list, np.ndarray, np.ndarray, np.ndarray]] = []
+        #: (run_index, hidden, slots, cells, plan) per live run.
+        planned: List[Tuple[int, np.ndarray, list, np.ndarray, tuple]] = []
         groups: List[List[int]] = [[]]
         vis_union = np.zeros(cache.n_cells, dtype=bool)
         ri = -1
@@ -597,40 +598,27 @@ class FunctionalBackend(Backend):
             if vis_union[cells].any() and groups[-1]:
                 groups.append([])
                 vis_union[:] = False
-            positions = np.array([s.pos for s in meta.slots], dtype=np.int64)
-            visible = cache.visible_matrix(
-                [s.seq_ids[0] for s in meta.slots], positions,
-                limit=cache.high_water,
+            plan = cache.visible_matrix(
+                [s.seq_ids[0] for s in meta.slots], [s.pos for s in meta.slots]
             )
-            vis_union[: visible.shape[1]] |= visible.any(axis=0)
+            vis_union[plan[0]] = True
             vis_union[cells] = True
             groups[-1].append(len(planned))
-            planned.append((ri, hidden, list(meta.slots), positions, cells, visible))
+            planned.append((ri, hidden, list(meta.slots), cells, plan))
         for group in groups:
             if not group:
                 continue
             parts = [planned[i] for i in group]
-            row_groups = [len(p[2]) for p in parts]
             if len(parts) == 1:
-                idx, hidden, slots, _, cells, visible = parts[0]
+                idx, hidden, slots, cells, _ = parts[0]
             else:
                 idx = -1
                 hidden = np.concatenate([p[1] for p in parts], axis=0)
                 slots = [s for p in parts for s in p[2]]
-                cells = np.concatenate([p[4] for p in parts])
-                # Stack the per-run mask rows; snapshots taken before later
-                # allocations may be narrower (high-water truncation) and
-                # pad with False — those cells did not exist for them.
-                width = max(p[5].shape[1] for p in parts)
-                visible = np.zeros((len(slots), width), dtype=bool)
-                off = 0
-                for p in parts:
-                    rows = p[5]
-                    visible[off : off + rows.shape[0], : rows.shape[1]] = rows
-                    off += rows.shape[0]
+                cells = np.concatenate([p[3] for p in parts])
             fused = self.target.forward_stage(
                 hidden, slots, cache, ws.layer_range, cells=cells,
-                visible=visible, arena=ws.arena, row_groups=row_groups,
+                plans=[p[4] for p in parts], arena=ws.arena,
             )
             if len(parts) == 1:
                 outs[idx] = fused

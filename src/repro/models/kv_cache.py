@@ -11,40 +11,60 @@ is near-free.
 The metadata plane is stored as NumPy state rather than Python sets:
 
 - ``pos``: ``(n_cells,)`` int64 positions, -1 when free;
-- ``_member``: ``(n_cells, n_seq_cols)`` boolean membership matrix, with
-  columns grown on demand as higher sequence ids appear;
+- ``_member``: ``(n_seq_rows, n_cells)`` boolean membership matrix,
+  *sequence-major*: one sequence's membership is one contiguous row, and
+  rows are grown on demand as higher sequence ids appear;
 - ``_free``: a min-heap of free cell indices, so allocation hands out the
   lowest-indexed free cells (the same order a linear scan would) in
   O(log n) instead of scanning every cell.
 
-Sequence ops and queries are masked-array expressions over this state —
-O(1) or one vectorized pass — with semantics identical to the
-pure-Python per-cell-set reference the differential property tests keep
-(``tests/oracles/kv_cache.py``): positional dedupe in ``seq_cp``,
-free-on-empty, strict/inclusive visibility.
+A cell belongs to a sequence only while it is live (``pos >= 0``): every
+op that frees a cell clears its membership first.  Scans therefore never
+re-check liveness, and they stop at the high-water mark (one past the
+highest cell ever allocated).  Costs, with ``hw`` the high-water mark and
+``k`` the cells a sequence owns:
+
+- ``allocate``: O(log n) heap pop and one membership write per entry;
+- ``seq_cp`` / ``seq_broadcast``: one contiguous ``hw``-byte row scan of
+  the source, O(k) position work, and per destination one row scan plus
+  a boolean ``held``-by-position lookup that drops positions it already
+  holds; a whole-range op (``p0 == 0`` and ``p1`` past the top owned
+  position: every prefix copy) skips the range filter;
+- ``seq_rm``: one row scan and O(k · n_seq_rows) emptiness check; a
+  whole-range release (``SEQ_RM 0..SEQ_END``) skips the range filter;
+- ``visible_matrix``: compact visibility, ``(cells, mask)`` over just the
+  cells some query sees.  A batch of one sequence (every pipeline run)
+  reads only that sequence's row; a causal batch holding its sequence's
+  top position skips the visibility filter.
+
+Semantics are identical to the pure-Python per-cell-set reference the
+differential property tests keep (``tests/oracles/kv_cache.py``):
+positional dedupe in ``seq_cp``, free-on-empty, strict/inclusive
+visibility, duplicate ``(seq, pos)`` cells included.
 
 The cache is used at two fidelity levels:
 
 - metadata-only (``n_layers=0``): the cluster simulation tracks cell
   occupancy and sequence structure without tensors;
 - tensor-backed: the functional transformer stores real K/V arrays per
-  layer and builds attention masks from the metadata.
+  layer and builds attention plans from the metadata.
 
 A cell is free when its sequence set is empty.  Attention visibility for a
-query (seq, pos) is: cell carries ``seq`` and ``cell.pos < pos`` (strictly
-earlier positions; the query token's own cell is written during the same
-forward but tokens do not attend to themselves ahead of their position).
+query (seq, pos) is: cell carries ``seq`` and ``cell.pos <= pos``
+(inclusive, the causal default: the query's own cell is written during
+the same forward) or ``cell.pos < pos`` (strict).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+import operator
+from typing import Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
-#: Initial sequence-id capacity of the membership matrix.
-_INITIAL_SEQ_COLS = 8
+#: Initial sequence-id capacity (rows) of the membership matrix.
+_INITIAL_SEQ_ROWS = 8
 
 
 class KVCacheError(RuntimeError):
@@ -64,10 +84,23 @@ class _SeqsView:
         self._cache = cache
 
     def __getitem__(self, cell: int) -> Set[int]:
-        return {int(s) for s in np.flatnonzero(self._cache._member[cell])}
+        return {int(s) for s in np.flatnonzero(self._cache._member[:, cell])}
 
     def __len__(self) -> int:
         return self._cache.n_cells
+
+
+def _first_per_position(cand: np.ndarray, cand_pos: np.ndarray):
+    """Distinct positions of ``cand`` and the lowest cell holding each.
+
+    Cells allocated lowest-index-first while a prompt is decoded in order
+    leave positions already strictly ascending — the common shape; it
+    skips the ``unique()`` sort.
+    """
+    if cand_pos.size == 1 or (cand_pos[1:] > cand_pos[:-1]).all():
+        return cand_pos, cand
+    uniq_pos, first = np.unique(cand_pos, return_index=True)
+    return uniq_pos, cand[first]
 
 
 class KVCache:
@@ -94,7 +127,8 @@ class KVCache:
         self.kv_dim = kv_dim
         #: cell -> position (-1 when free).
         self.pos = np.full(n_cells, -1, dtype=np.int64)
-        self._member = np.zeros((n_cells, _INITIAL_SEQ_COLS), dtype=bool)
+        #: seq -> cell membership rows (sequence-major).
+        self._member = np.zeros((_INITIAL_SEQ_ROWS, n_cells), dtype=bool)
         #: Min-heap of free cells; ``range`` is already heap-ordered.
         self._free: List[int] = list(range(n_cells))
         #: One past the highest cell index ever allocated.  Allocation is
@@ -118,21 +152,45 @@ class KVCache:
         return _SeqsView(self)
 
     def _ensure_seq(self, seq: int) -> None:
-        """Grow the membership matrix to cover column ``seq``."""
+        """Grow the membership matrix to cover row ``seq``."""
         if seq < 0:
             raise KVCacheError(f"invalid sequence id {seq}")
-        cols = self._member.shape[1]
-        if seq < cols:
+        rows = self._member.shape[0]
+        if seq < rows:
             return
-        while cols <= seq:
-            cols *= 2
-        grown = np.zeros((self.n_cells, cols), dtype=bool)
-        grown[:, : self._member.shape[1]] = self._member
+        while rows <= seq:
+            rows *= 2
+        grown = np.zeros((rows, self.n_cells), dtype=bool)
+        grown[: self._member.shape[0]] = self._member
         self._member = grown
 
-    def _col(self, seq: int) -> bool:
-        """True when ``seq`` has a column (i.e. may have members)."""
-        return 0 <= seq < self._member.shape[1]
+    def _row(self, seq: int) -> bool:
+        """True when ``seq`` has a row (i.e. may have members)."""
+        return 0 <= seq < self._member.shape[0]
+
+    def _owned(self, seq: int, p0: int, p1: int):
+        """Cells of ``seq`` with p0 <= pos < p1 (ascending) and their positions.
+
+        Only the sequence's row up to the high-water mark is read; a
+        whole-range query (``p0 == 0``, ``p1`` past every owned position)
+        returns the row's cells without filtering.
+        """
+        owned = self._member[seq, : self._high_water].nonzero()[0]
+        owned_pos = self.pos[owned]
+        if owned.size and not (p0 == 0 and owned_pos.max() < p1):
+            keep = (owned_pos >= p0) & (owned_pos < p1)
+            owned, owned_pos = owned[keep], owned_pos[keep]
+        return owned, owned_pos
+
+    def _not_held(self, dst: int, uniq_pos: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """``cells`` (one per ascending ``uniq_pos``) at positions ``dst`` lacks."""
+        dst_owned = self._member[dst, : self._high_water].nonzero()[0]
+        if not dst_owned.size:
+            return cells
+        dst_pos = self.pos[dst_owned]
+        held = np.zeros(int(max(uniq_pos[-1], dst_pos.max())) + 1, dtype=bool)
+        held[dst_pos] = True
+        return cells[~held[uniq_pos]]
 
     def _release(self, cells: np.ndarray) -> None:
         """Mark ``cells`` free and return them to the allocator.
@@ -201,9 +259,9 @@ class KVCache:
                 self._high_water = cell + 1
             pos[cell] = p
             if len(ids) == 1:
-                self._member[cell, ids[0]] = True
+                self._member[ids[0], cell] = True
             else:
-                self._member[cell, list(ids)] = True
+                self._member[list(ids), cell] = True
             cells.append(cell)
         return cells
 
@@ -221,8 +279,8 @@ class KVCache:
         pos = np.full(n_cells, -1, dtype=np.int64)
         pos[:old] = self.pos
         self.pos = pos
-        member = np.zeros((n_cells, self._member.shape[1]), dtype=bool)
-        member[:old] = self._member
+        member = np.zeros((self._member.shape[0], n_cells), dtype=bool)
+        member[:, :old] = self._member
         self._member = member
         self._free.extend(range(old, n_cells))
         heapq.heapify(self._free)
@@ -265,64 +323,29 @@ class KVCache:
         self._check_range(p0, p1)
         if seq_src == seq_dst:
             return 0
-        if not self._col(seq_src):
+        if not self._row(seq_src):
             if seq_src < 0:
                 raise KVCacheError(f"invalid sequence id {seq_src}")
             return 0
-        # Scans stop at the high-water mark: cells past it have never been
-        # allocated, so they belong to no sequence.  Membership first:
-        # the sequence's column is sparse relative to the high-water
-        # range, so narrowing to its cells before the position compare
-        # touches far fewer elements — and subsetting an ascending index
-        # list keeps it ascending, so the result is the same ``cand``.
-        hw = self._high_water
-        pos = self.pos[:hw]
-        owned = np.flatnonzero(self._member[:hw, seq_src])
-        owned_pos = pos[owned]
-        cand = owned[(owned_pos >= p0) & (owned_pos < p1)]
+        cand, cand_pos = self._owned(seq_src, p0, p1)
         if cand.size == 0:
             return 0
         self._ensure_seq(seq_dst)
-        # First cell per distinct source position, then drop positions the
-        # destination already holds.  Copies into a *fresh* partition (the
-        # common case: materializing a new run's context) skip the
-        # destination-position scan entirely.
-        cand_pos = pos[cand]
-        if cand_pos.size == 1 or (cand_pos[1:] > cand_pos[:-1]).all():
-            # Cells allocated lowest-index-first while a prompt is decoded
-            # in order leave positions already strictly ascending — the
-            # common prefix-admission shape; skip the unique() sort.
-            uniq_pos, first = cand_pos, np.arange(cand_pos.size)
-        else:
-            uniq_pos, first = np.unique(cand_pos, return_index=True)
-        dst_owned = np.flatnonzero(self._member[:hw, seq_dst])
-        if dst_owned.size:
-            # Membership via a Python set: the position lists are tiny
-            # (tens of entries), where ``np.isin``'s sort-based path is
-            # all fixed overhead.  Same boolean outcome by definition.
-            dst_pos = {p for p in pos[dst_owned].tolist() if p >= 0}
-            keep = [i for i, p in enumerate(uniq_pos.tolist())
-                    if p not in dst_pos]
-            chosen = cand[first[keep]]
-        else:
-            chosen = cand[first]
-        self._member[chosen, seq_dst] = True
+        uniq_pos, first = _first_per_position(cand, cand_pos)
+        chosen = self._not_held(seq_dst, uniq_pos, first)
+        self._member[seq_dst, chosen] = True
         return int(chosen.size)
 
     def seq_rm(self, seq: int, p0: int, p1: int) -> int:
         """Remove ``seq`` from cells with p0 <= pos < p1; free emptied cells."""
         self._check_range(p0, p1)
-        if not self._col(seq):
+        if not self._row(seq):
             return 0
-        hw = self._high_water
-        pos = self.pos[:hw]
-        owned = np.flatnonzero(self._member[:hw, seq])
-        owned_pos = pos[owned]
-        hit = owned[(owned_pos >= p0) & (owned_pos < p1)]
+        hit, _ = self._owned(seq, p0, p1)
         if hit.size == 0:
             return 0
-        self._member[hit, seq] = False
-        emptied = hit[~self._member[hit].any(axis=1)]
+        self._member[seq, hit] = False
+        emptied = hit[~self._member.take(hit, axis=1).any(axis=0)]
         if emptied.size:
             self._release(emptied)
         return int(hit.size)
@@ -330,15 +353,15 @@ class KVCache:
     def seq_keep(self, seq: int) -> int:
         """Drop every sequence except ``seq``; free cells not in it."""
         live = self.pos >= 0
-        has_col = self._col(seq)
-        if has_col:
-            keep = live & self._member[:, seq]
+        has_row = self._row(seq)
+        if has_row:
+            keep = self._member[seq].copy()
         else:
             keep = np.zeros(self.n_cells, dtype=bool)
         drop = np.flatnonzero(live & ~keep)
         self._member[:, :] = False
-        if has_col:
-            self._member[keep, seq] = True
+        if has_row:
+            self._member[seq] = keep
         if drop.size:
             self._release(drop)
         return int(drop.size)
@@ -352,44 +375,28 @@ class KVCache:
         Equivalent to ``seq_cp(seq_src, dst, ...)`` per target, but the
         source-side scan (candidate cells, first-per-position selection) is
         computed once and shared: adding ``dst`` members never changes the
-        source column, so only the destination-position filter differs per
+        source row, so only the destination-position filter differs per
         target.
         """
         targets = list(targets)
         if not targets:
             return 0
         self._check_range(p0, p1)
-        if not self._col(seq_src):
+        if not self._row(seq_src):
             if seq_src < 0:
                 raise KVCacheError(f"invalid sequence id {seq_src}")
             return 0
-        hw = self._high_water
-        pos = self.pos[:hw]
-        owned = np.flatnonzero(self._member[:hw, seq_src])
-        owned_pos = pos[owned]
-        cand = owned[(owned_pos >= p0) & (owned_pos < p1)]
+        cand, cand_pos = self._owned(seq_src, p0, p1)
         if cand.size == 0:
             return 0
-        cand_pos = pos[cand]
-        if cand_pos.size == 1 or (cand_pos[1:] > cand_pos[:-1]).all():
-            uniq_pos, first = cand_pos, np.arange(cand_pos.size)
-        else:
-            uniq_pos, first = np.unique(cand_pos, return_index=True)
-        default = cand[first]
+        uniq_pos, first = _first_per_position(cand, cand_pos)
         n = 0
         for dst in targets:
             if dst == seq_src:
                 continue
             self._ensure_seq(dst)
-            dst_owned = np.flatnonzero(self._member[:hw, dst])
-            if dst_owned.size:
-                dst_pos = {p for p in pos[dst_owned].tolist() if p >= 0}
-                keep = [i for i, p in enumerate(uniq_pos.tolist())
-                        if p not in dst_pos]
-                chosen = cand[first[keep]]
-            else:
-                chosen = default
-            self._member[chosen, dst] = True
+            chosen = self._not_held(dst, uniq_pos, first)
+            self._member[dst, chosen] = True
             n += int(chosen.size)
         return n
 
@@ -397,25 +404,24 @@ class KVCache:
 
     def seq_max_pos(self, seq: int) -> int:
         """Highest position stored for ``seq``, or -1 when empty."""
-        if not self._col(seq):
+        if not self._row(seq):
             return -1
-        held = self.pos[self._member[:, seq] & (self.pos >= 0)]
+        held = self.pos[self._member[seq]]
         return int(held.max()) if held.size else -1
 
     def seq_cells(self, seq: int) -> List[int]:
         """Cells belonging to ``seq``, sorted by position."""
-        if not self._col(seq):
+        if not self._row(seq):
             return []
-        cells = np.flatnonzero(self._member[:, seq] & (self.pos >= 0))
+        cells = np.flatnonzero(self._member[seq])
         order = np.argsort(self.pos[cells], kind="stable")
         return [int(c) for c in cells[order]]
 
     def seq_positions(self, seq: int) -> List[int]:
         """Sorted positions stored for ``seq``."""
-        if not self._col(seq):
+        if not self._row(seq):
             return []
-        cells = np.flatnonzero(self._member[:, seq] & (self.pos >= 0))
-        return sorted(int(p) for p in self.pos[cells])
+        return sorted(int(p) for p in self.pos[self._member[seq]])
 
     def visible_cells(self, seq: int, pos: int, inclusive: bool = True) -> np.ndarray:
         """Cell indices visible to a query at (seq, pos).
@@ -424,60 +430,71 @@ class KVCache:
         position; with ``inclusive`` (the default, matching causal
         self-attention) the query's own position is visible too.
         """
-        if not self._col(seq):
+        if not self._row(seq):
             return np.empty(0, dtype=np.int64)
-        mask = self._member[:, seq] & (self.pos >= 0)
-        if inclusive:
-            mask &= self.pos <= pos
-        else:
-            mask &= self.pos < pos
-        return np.flatnonzero(mask).astype(np.int64)
+        reach = self.pos <= pos if inclusive else self.pos < pos
+        return np.flatnonzero(self._member[seq] & reach).astype(np.int64)
 
     def visible_matrix(
         self,
         seq_ids: Sequence[int],
         positions: Sequence[int],
         inclusive: bool = True,
-        limit: Optional[int] = None,
-    ) -> np.ndarray:
-        """Batched visibility: boolean ``(n_tokens, n_cells)`` mask.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Batched compact visibility: ``(cells, mask)``.
 
-        Row *i* is ``visible_cells(seq_ids[i], positions[i])`` as a mask.
-        Visibility depends only on cache metadata, never on the layer, so
-        the functional transformer computes this once per decode batch and
-        reuses it across its whole layer range.
+        ``cells`` are the ascending cell indices at least one query sees;
+        ``mask`` is the boolean ``(n_tokens, len(cells))`` matrix whose row
+        *i* marks which of them ``visible_cells(seq_ids[i], positions[i])``
+        holds.  Visibility depends only on cache metadata, never on the
+        layer, so the functional transformer computes this once per batch
+        and reuses it across its whole layer range.
 
-        ``limit`` truncates the cell axis (rows become ``limit`` wide):
-        hot callers pass :attr:`high_water` so a mostly-empty cache is not
-        scanned to its full capacity — cells past the high-water mark have
-        never been allocated and are invisible by construction.
+        A batch whose queries share one sequence reads only that
+        sequence's row; a mixed batch scans the rows of its distinct
+        sequences.  Either way nothing past the high-water mark is read
+        and no ``(n_tokens, n_cells)`` mask is built.
         """
-        seq_ids = np.asarray(seq_ids, dtype=np.int64)
         positions = np.asarray(positions, dtype=np.int64)
-        end = self.n_cells if limit is None else min(limit, self.n_cells)
-        cols = self._member.shape[1]
-        if seq_ids.size and 0 <= seq_ids.min() and seq_ids.max() < cols:
-            # Hot path: every query sequence has a column.
-            member = self._member[:end, seq_ids].T
-        else:
-            valid = (seq_ids >= 0) & (seq_ids < cols)
-            member = (
-                self._member[:end, np.clip(seq_ids, 0, cols - 1)].T
-                & valid[:, None]
-            )
-        pos = self.pos[:end]
-        live = pos >= 0
-        if inclusive:
-            reach = pos[None, :] <= positions[:, None]
-        else:
-            reach = pos[None, :] < positions[:, None]
-        return member & live[None, :] & reach
+        reaches = operator.le if inclusive else operator.lt
+        hw = self._high_water
+        n_rows = self._member.shape[0]
+        seqs = set(seq_ids)
+        if len(seqs) == 1:
+            seq = seq_ids[0]
+            if not 0 <= seq < n_rows:
+                return np.empty(0, dtype=np.intp), np.zeros((len(positions), 0), dtype=bool)
+            cells = self._member[seq, :hw].nonzero()[0]
+            cell_pos = self.pos[cells]
+            top = positions.max()
+            # A causal batch holding its sequence's top position sees
+            # every cell of it: no filter.
+            if cells.size and not reaches(cell_pos.max(), top):
+                keep = reaches(cell_pos, top)
+                cells, cell_pos = cells[keep], cell_pos[keep]
+            return cells, reaches(cell_pos[None, :], positions[:, None])
+        # Mixed sequences: candidates are the union of the distinct
+        # sequences' cells; each query then keeps its own sequence's.
+        uniq = sorted(s for s in seqs if 0 <= s < n_rows)
+        member = self._member[uniq, :hw]
+        cells = member.any(axis=0).nonzero()[0]
+        owner = member.take(cells, axis=1)
+        if len(uniq) < len(seqs):
+            # An unknown sequence owns nothing: give it an empty row.
+            owner = np.concatenate([owner, np.zeros((1, cells.size), dtype=bool)])
+        row = {s: i for i, s in enumerate(uniq)}
+        mask = owner.take([row.get(s, len(uniq)) for s in seq_ids], axis=0)
+        mask &= reaches(self.pos[cells][None, :], positions[:, None])
+        seen = mask.any(axis=0)
+        if seen.all():
+            return cells, mask
+        return cells[seen], mask.compress(seen, axis=1)
 
     def has_entry(self, seq: int, pos: int) -> bool:
         """True when ``seq`` already holds a cell at position ``pos``."""
-        if not self._col(seq):
+        if not self._row(seq):
             return False
-        return bool(np.any(self._member[:, seq] & (self.pos == pos) & (self.pos >= 0)))
+        return bool(np.any(self._member[seq] & (self.pos == pos)))
 
     # -- internals ---------------------------------------------------------------
 

@@ -16,7 +16,7 @@ verification and KV multibuffering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from repro.models.kv_cache import KVCache
 from repro.models.layers import (
     ScratchArena,
     apply_rope_tables,
-    batched_grouped_attention,
     rms_norm,
     rope_frequencies,
     rope_tables,
@@ -144,7 +143,7 @@ class TinyTransformer:
         cache: KVCache,
         layer_range: tuple[int, int],
         cells: Optional[Sequence[int]] = None,
-        visible: Optional[np.ndarray] = None,
+        plans: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]] = None,
         arena: Optional[ScratchArena] = None,
         row_groups: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
@@ -159,23 +158,35 @@ class TinyTransformer:
                 layer index is ``layer - lo``.
             cells: pre-allocated cache cells for this batch (one per slot).
                 Allocated here when omitted.
-            visible: precomputed (n_tokens, n_cells) visibility mask.
-                Fused cross-run batches pass per-run rows snapshotted in
-                transaction order; computed from current cache metadata
-                when omitted.
+            plans: one compact visibility plan ``(cells, mask)`` per row
+                group, in row order, as :meth:`KVCache.visible_matrix`
+                returns it: ``cells`` are the ascending cells the group's
+                rows see, ``mask`` is ``(group rows, len(cells))``.  Fused
+                cross-run batches pass per-run plans snapshotted in
+                transaction order.  When omitted, one plan is computed
+                from the current cache metadata and split by
+                ``row_groups``.
             arena: scratch buffers reused across calls of the same batch
                 shape (a private one is made per call when omitted).  The
                 returned activations are always freshly allocated — they
                 travel downstream while the arena is recycled for the
                 next window — and ``hidden`` is never mutated.
-            row_groups: per-run row counts when the batch concatenates
-                several runs (fused windows, batched draft proposals).
-                Attention is evaluated per group over just the cells that
-                group can see — fused cross-request batches mostly attend
-                to disjoint cell sets, so this skips the masked-out bulk
-                of the score area — and each group's math is exactly what
-                the run would compute evaluated on its own.  Default: one
-                group spanning the whole batch.
+            row_groups: per-run row counts when ``plans`` is omitted and
+                the batch concatenates several runs (batched draft
+                proposals).  Default: one group spanning the whole batch.
+
+        Attention runs per plan over just the cells that plan can see —
+        fused cross-request batches mostly attend to disjoint cell sets,
+        so this skips the masked-out bulk of the score area.  Each plan's
+        attention is exactly what its run computes evaluated on its own:
+        the score and output matmuls and the softmax row sums stay per
+        plan, with the run's own shapes, because BLAS blocking and
+        pairwise summation make them depend on those shapes.  Everything
+        elementwise or order-free — the K/V gather, the ``1/sqrt(hd)``
+        scale, the mask, the row max, the shift, ``exp`` and the divide —
+        runs once per layer over the whole batch.  The projections and
+        the MLP are batched over all the window's rows, so a fused run's
+        activations match its solo evaluation to rounding, not bitwise.
 
         Returns:
             (n_tokens, d_model) activations leaving the stage.
@@ -190,24 +201,27 @@ class TinyTransformer:
         if cells is None:
             cells = cache.allocate([(s.pos, s.seq_ids) for s in slots])
         cells = np.asarray(cells, dtype=np.intp)
-        # Visibility depends only on cache metadata (fixed once the batch's
-        # cells are allocated), never on the layer: one mask per batch,
-        # compacted to the cells any token can see.
-        if visible is None:
-            visible = cache.visible_matrix(
-                [s.seq_ids[0] for s in slots], positions, limit=cache.high_water
-            )
+        n, d, kv = len(slots), cfg.d_model, cfg.kv_dim
+        if plans is None:
+            # Visibility depends only on cache metadata (fixed once the
+            # batch's cells are allocated), never on the layer: one
+            # compact plan per batch, split by row group.
+            seen, mask = cache.visible_matrix([s.seq_ids[0] for s in slots], positions)
+            plans = []
+            a = 0
+            for count in (row_groups if row_groups is not None else (n,)):
+                plans.append(_plan_rows(seen, mask, a, a + count))
+                a += count
+            if a != n:
+                raise ValueError(f"row_groups sum to {a}, batch has {n} tokens")
+        if not n:
+            return np.empty((0, d))
         rot = self._rope_tables(positions)
         if arena is None:
             arena = ScratchArena()
-        n, d, kv = len(slots), cfg.d_model, cfg.kv_dim
-        # Attention plan: one sub-problem per run row-group (further
-        # chunked for long causal runs), each over just the cells its
-        # rows can see.  Masks depend only on cache metadata, never the
-        # layer, so the plan is built once per batch.
-        kdt, vdt = cache.k.dtype, cache.v.dtype
         kvh, hd = cfg.n_kv_heads, cfg.head_dim
-        group = cfg.n_heads // cfg.n_kv_heads
+        heads = cfg.n_heads
+        group = heads // kvh
         # Residual stream and per-layer temporaries live in the arena;
         # every operation below is the same BLAS call / ufunc whether the
         # buffers are recycled or freshly allocated.
@@ -219,52 +233,65 @@ class TinyTransformer:
         k2 = arena.get("stage.k", (n, kv))
         v2 = arena.get("stage.v", (n, kv))
         attn2 = arena.get("stage.attn", (n, d))
-        q = q2.reshape(n, cfg.n_heads, hd)
+        q = q2.reshape(n, heads, hd)
         k = k2.reshape(n, kvh, hd)
-        attn4 = attn2.reshape(n, kvh, group, hd)
-        plans = []
+        # Attention sub-problems: each plan, chunked by rows for long
+        # causal runs, as (first row, end row, cells, mask).
+        parts = []
         a = 0
-        for count in (row_groups if row_groups is not None else (n,)):
-            for c0 in range(a, a + count, _ATTN_CHUNK):
-                b = min(c0 + _ATTN_CHUNK, a + count)
-                rows = visible[c0:b]
-                used = np.flatnonzero(rows.any(axis=0))
-                mask = rows[:, used]
-                key = str(len(plans))
-                u = len(used)
-                kc = arena.get("stage.kused" + key, (u, cfg.kv_dim), dtype=kdt)
-                vc = arena.get("stage.vused" + key, (u, cfg.kv_dim), dtype=vdt)
-                # Everything shape-dependent is hoisted out of the layer
-                # loop: transposed K/V views of the gather buffers, the
-                # score buffer, and the query/output row slices.  The
-                # arithmetic below is exactly batched_grouped_attention's,
-                # unrolled so each layer pays only the ufunc/BLAS calls.
-                scores = arena.get(
-                    "attn.scores" + key, (b - c0, kvh, group, u)
-                )
-                # Reduction buffer for the softmax max/sum (keepdims
-                # shape): the reductions write here instead of allocating
-                # a fresh array twice per plan per layer.
-                red = arena.get("attn.red" + key, (b - c0, kvh, group, 1))
-                inv = ~mask[:, None, None, :]
-                plans.append((
-                    used,
-                    # All-visible plans (single-run decode rows over their
-                    # own compacted cells) skip the mask write entirely —
-                    # copyto with an all-False ``where`` is a no-op.
-                    inv if inv.any() else None,
-                    kc,
-                    vc,
-                    kc.reshape(u, kvh, hd).transpose(1, 2, 0),
-                    vc.reshape(u, kvh, hd).transpose(1, 0, 2),
-                    scores,
-                    red,
-                    q2[c0:b].reshape(b - c0, kvh, group, hd),
-                    attn4[c0:b],
-                ))
-            a += count
+        for seen, mask in plans:
+            r = mask.shape[0]
+            for c0 in range(0, r, _ATTN_CHUNK):
+                c1 = min(c0 + _ATTN_CHUNK, r)
+                part_cells, part_mask = _plan_rows(seen, mask, c0, c1)
+                if not part_cells.size:
+                    raise ValueError("an attention row sees no cache cell")
+                parts.append((a + c0, a + c1, part_cells, part_mask))
+            a += r
         if a != n:
-            raise ValueError(f"row_groups sum to {a}, batch has {n} tokens")
+            raise ValueError(f"plans cover {a} rows, batch has {n} tokens")
+        # One shared K/V gather buffer (each part's keys are a contiguous
+        # slice of it), one flat score buffer laid out part by part, row
+        # by row, head by head, and one per-(row, head) reduction buffer.
+        # Every shape-dependent view is hoisted out of the layer loop.
+        gather = parts[0][2] if len(parts) == 1 else np.concatenate([p[2] for p in parts])
+        n_keys = len(gather)
+        kbuf = arena.get("stage.kgather", (n_keys, kv), dtype=cache.k.dtype)
+        vbuf = arena.get("stage.vgather", (n_keys, kv), dtype=cache.v.dtype)
+        kt = kbuf.reshape(n_keys, kvh, hd).transpose(1, 2, 0)
+        vt = vbuf.reshape(n_keys, kvh, hd).transpose(1, 0, 2)
+        # Width of each (row, head) score segment, and where it starts.
+        seg_len = np.repeat([len(p[2]) for p in parts], [(p[1] - p[0]) * heads for p in parts])
+        starts = np.zeros(n * heads, dtype=np.intp)
+        np.cumsum(seg_len[:-1], out=starts[1:])
+        n_scores = int(starts[-1] + seg_len[-1])
+        scores = arena.get("attn.scores", (n_scores,))
+        red = arena.get("attn.red", (n * heads,))
+        q4 = q2.reshape(n, kvh, group, hd)
+        red4 = red.reshape(n, kvh, group, 1)
+        attn4 = attn2.reshape(n, kvh, group, hd)
+        # Scores a row may not see, as a mask over the flat buffer: only
+        # multi-row (causal or tree) parts hide cells — a one-row part
+        # sees every cell it gathered.
+        hidden_at = None
+        views = []
+        g0 = s0 = 0
+        for r0, r1, part_cells, part_mask in parts:
+            r, u = r1 - r0, len(part_cells)
+            sv = scores[s0 : s0 + r * heads * u].reshape(r, kvh, group, u)
+            if r > 1:
+                if hidden_at is None:
+                    hidden_at = np.zeros(n_scores, dtype=bool)
+                np.logical_not(
+                    part_mask[:, None, None, :],
+                    out=hidden_at[s0 : s0 + r * heads * u].reshape(r, kvh, group, u),
+                )
+            views.append((
+                q4[r0:r1], kt[:, :, g0 : g0 + u], vt[:, g0 : g0 + u], sv,
+                red4[r0:r1], attn4[r0:r1],
+            ))
+            g0 += u
+            s0 += r * heads * u
         sqrt_hd = np.sqrt(hd)
         for layer in range(lo, hi):
             w = self.layers[layer]
@@ -276,18 +303,24 @@ class TinyTransformer:
             apply_rope_tables(q, rot, out=q)
             apply_rope_tables(k, rot, out=k)
             cache.write(local, cells, k2, v2)
-            ck, cv = cache.k[local], cache.v[local]
-            for used, inv, kc, vc, kct, vct, scores, red, qg, og in plans:
-                ck.take(used, axis=0, out=kc)
-                cv.take(used, axis=0, out=vc)
-                np.matmul(qg, kct, out=scores)
-                scores /= sqrt_hd
-                if inv is not None:
-                    np.copyto(scores, -np.inf, where=inv)
-                scores -= scores.max(axis=-1, keepdims=True, out=red)
-                np.exp(scores, out=scores)
-                scores /= scores.sum(axis=-1, keepdims=True, out=red)
-                np.matmul(scores, vct, out=og)
+            cache.k[local].take(gather, axis=0, out=kbuf)
+            cache.v[local].take(gather, axis=0, out=vbuf)
+            # Per part: the score matmul, the row sums and the output
+            # matmul, each with the part's own shapes.  Once per layer
+            # over the whole batch: the elementwise and order-free rest.
+            for qg, kct, _, sv, _, _ in views:
+                np.matmul(qg, kct, out=sv)
+            scores /= sqrt_hd
+            if hidden_at is not None:
+                np.copyto(scores, -np.inf, where=hidden_at)
+            np.maximum.reduceat(scores, starts, out=red)
+            scores -= np.repeat(red, seg_len)
+            np.exp(scores, out=scores)
+            for _, _, _, sv, rv, _ in views:
+                np.add.reduce(sv, axis=-1, keepdims=True, out=rv)
+            scores /= np.repeat(red, seg_len)
+            for _, _, vct, sv, _, og in views:
+                np.matmul(sv, vct, out=og)
             np.matmul(attn2, w.wo, out=tmp)
             h += tmp
             rms_norm(h, w.ffn_norm, out=x)
@@ -331,6 +364,21 @@ class TinyTransformer:
         )
         want = [i for i, s in enumerate(slots) if s.want_logits]
         return self.output(hidden, want, arena=arena)
+
+
+def _plan_rows(
+    cells: np.ndarray, mask: np.ndarray, r0: int, r1: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The compact plan of rows [r0, r1) of plan ``(cells, mask)``.
+
+    Keeps just the cells those rows see, in ascending order; a range
+    covering every row returns the plan itself.
+    """
+    if r0 == 0 and r1 == mask.shape[0]:
+        return cells, mask
+    rows = mask[r0:r1]
+    used = np.flatnonzero(rows.any(axis=0))
+    return cells[used], rows.take(used, axis=1)
 
 
 def perturbed_copy(model: TinyTransformer, noise: float, seed: int = 1) -> TinyTransformer:

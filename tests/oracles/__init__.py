@@ -11,5 +11,8 @@ with the same inputs and asserts the same observable behaviour.
   ``repro.models.range_cache.RangeKVCache``.
 - :func:`~oracles.stage.compute_stage`: one run's functional stage
   evaluated on its own, against the fused window of
-  ``repro.engines.backend.FunctionalBackend.compute_stage_multi``.
+  ``repro.engines.backend.FunctionalBackend.compute_stage_multi``;
+- :func:`~oracles.stage.reference_forward_stage`: per-plan attention
+  (own gather, own softmax), against the batched attention of
+  ``repro.models.transformer.TinyTransformer.forward_stage``, bitwise.
 """

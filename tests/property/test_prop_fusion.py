@@ -5,8 +5,13 @@ The fusion window's contract is that evaluating a window of decode runs
 batch is observationally identical to evaluating each transaction in
 order, one at a time:
 
-- identical per-run activations (<= 1e-10, in practice ~1e-14: the only
-  divergence is float re-association from the shared cell compaction);
+- identical per-run activations (<= 1e-10, in practice ~1e-14: the
+  projections and the MLP run over the whole window's rows, and BLAS
+  makes a row of ``x @ W`` depend on the batch height — a one-row
+  product takes a different kernel than the same row inside a taller
+  batch.
+  The attention is evaluated per run, so given the same inputs it is
+  bitwise the run's own: ``tests/property/test_prop_stage_bitwise.py``);
 - identical KV metadata afterwards (allocation order, membership, frees);
 - identical output record order, including under mid-fusion cancellation
   (a skipped run keeps its slot and produces no cells).

@@ -7,8 +7,12 @@ op sequence, including per-op return values, allocation order, and full
 per-cell metadata state.  :class:`RangeKVCache` (interval metadata, no
 cell identity) must agree on every sequence-level observable.
 
-This is the executable proof that the PR-2 metadata-plane rewrite changed
-representation, not semantics.
+This is the executable proof that the metadata-plane rewrites (the
+membership matrix, then its sequence-major layout) changed
+representation, not semantics.  After every op it also checks the two
+facts compact visibility rests on: a cell that belongs to any sequence
+is live, and ``visible_matrix``'s ``(cells, mask)`` expands to exactly
+the reference's per-token ``visible_cells``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -58,6 +62,29 @@ def assert_same_state(vec: KVCache, ref: ReferenceKVCache, rng: RangeKVCache):
             )
 
 
+#: Query positions of the per-op visibility check.
+PROBES = (0, 7, 15, 23, MAX_POS)
+
+
+def assert_compact_visibility(vec: KVCache, ref: ReferenceKVCache):
+    """Membership implies liveness; compact visibility == reference."""
+    assert (vec.pos[vec._member.any(axis=0)] >= 0).all()
+    queries = [(s, p) for s in range(N_SEQS) for p in PROBES]
+    for inclusive in (True, False):
+        want = {q: list(ref.visible_cells(*q, inclusive=inclusive)) for q in queries}
+        # One sequence per batch, then every query in one mixed batch.
+        batches = [[(s, p) for p in PROBES] for s in range(N_SEQS)] + [queries]
+        for batch in batches:
+            cells, mask = vec.visible_matrix(
+                [s for s, _ in batch], [p for _, p in batch], inclusive=inclusive
+            )
+            assert list(cells) == sorted(set(cells.tolist()))
+            assert mask.shape == (len(batch), len(cells))
+            assert mask.any(axis=0).all()
+            for q, row in zip(batch, mask):
+                assert list(cells[row]) == want[q]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(op_strategy, max_size=30))
 def test_three_way_equivalence(operations):
@@ -99,6 +126,7 @@ def test_three_way_equivalence(operations):
             n_vec = vec.seq_broadcast(src, p0, p1, sorted(targets))
             assert n_vec == ref.seq_broadcast(src, p0, p1, sorted(targets))
             rng.seq_broadcast(src, p0, p1, sorted(targets))
+        assert_compact_visibility(vec, ref)
     assert_same_state(vec, ref, rng)
 
 
@@ -116,3 +144,33 @@ def test_allocation_reuses_cells_in_reference_order(entries):
                 assert vec.seq_rm(s, lo, pos + 1) == ref.seq_rm(s, lo, pos + 1)
     assert list(vec.pos) == list(ref.pos)
     assert vec.n_used == ref.n_used
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(op_strategy, st.tuples(st.just("dup"), POS, SEQ_SETS)), max_size=30))
+def test_compact_visibility_with_duplicate_cells(operations):
+    """Duplicate ``(seq, pos)`` cells (which interval metadata cannot hold)
+    keep the reference's semantics: both cells are visible, ``seq_cp``
+    copies the lowest-indexed one."""
+    vec = KVCache(n_cells=256)
+    ref = ReferenceKVCache(n_cells=256)
+    for op in operations:
+        if op[0] in ("alloc", "dup"):
+            _, pos, seq_ids = op
+            assert vec.allocate([(pos, set(seq_ids))]) == ref.allocate([(pos, set(seq_ids))])
+        elif op[0] == "cp":
+            _, src, dst, (p0, p1) = op
+            assert vec.seq_cp(src, dst, p0, p1) == ref.seq_cp(src, dst, p0, p1)
+        elif op[0] == "rm":
+            _, seq, (p0, p1) = op
+            assert vec.seq_rm(seq, p0, p1) == ref.seq_rm(seq, p0, p1)
+        elif op[0] == "keep":
+            assert vec.seq_keep(op[1]) == ref.seq_keep(op[1])
+        else:
+            _, src, (p0, p1), targets = op
+            assert vec.seq_broadcast(src, p0, p1, sorted(targets)) == ref.seq_broadcast(
+                src, p0, p1, sorted(targets)
+            )
+        assert_compact_visibility(vec, ref)
+    for cell in range(vec.n_cells):
+        assert vec.seqs[cell] == ref.seqs[cell]

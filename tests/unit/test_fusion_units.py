@@ -79,12 +79,15 @@ class TestHighWaterVisibility:
         assert cache.n_used == 0
         assert cache.high_water == max(cells) + 1  # ...but the mark stays
 
-    def test_limited_matrix_consistent_with_full(self):
+    def test_compact_cells_ascend_below_high_water(self):
         cache = KVCache(32)
         cache.allocate([(p, {p % 3}) for p in range(10)])
         cache.seq_cp(0, 1, 0, 5)
-        full = cache.visible_matrix([0, 1, 2], [4, 9, 9])
-        cut = cache.visible_matrix([0, 1, 2], [4, 9, 9], limit=cache.high_water)
-        assert cut.shape[1] == cache.high_water
-        np.testing.assert_array_equal(full[:, : cache.high_water], cut)
-        assert not full[:, cache.high_water :].any()
+        cache.seq_rm(2, 0, 1 << 40)  # freed cells stay under the mark
+        for seqs, positions in (([0, 1, 2], [4, 9, 9]), ([1, 1], [3, 9]), ([0], [9])):
+            cells, mask = cache.visible_matrix(seqs, positions)
+            assert list(cells) == sorted(set(cells.tolist()))
+            assert cells.size == 0 or cells[-1] < cache.high_water
+            assert mask.shape == (len(seqs), cells.size)
+            for row, s, p in zip(mask, seqs, positions):
+                assert list(cells[row]) == list(cache.visible_cells(s, p))

@@ -120,26 +120,41 @@ class TestQueries:
 
 
 class TestBatchedQueries:
+    @staticmethod
+    def expand(cache, seqs, positions, inclusive=True):
+        """Per-token visible cell lists of the compact ``(cells, mask)``."""
+        cells, mask = cache.visible_matrix(seqs, positions, inclusive=inclusive)
+        assert mask.shape == (len(seqs), len(cells))
+        assert list(cells) == sorted(set(int(c) for c in cells))
+        # Compact: every returned cell is seen by at least one query.
+        assert mask.any(axis=0).all()
+        return [list(cells[row]) for row in mask]
+
     def test_visible_matrix_matches_per_token_queries(self, cache):
         cache.allocate([(0, {0}), (1, {0}), (2, {0}), (1, {1}), (2, {1})])
         seqs = [0, 1, 0, 1]
         positions = [2, 1, 0, 5]
-        mat = cache.visible_matrix(seqs, positions)
-        assert mat.shape == (4, cache.n_cells)
-        for i, (s, p) in enumerate(zip(seqs, positions)):
-            assert list(np.flatnonzero(mat[i])) == list(cache.visible_cells(s, p))
+        rows = self.expand(cache, seqs, positions)
+        for row, s, p in zip(rows, seqs, positions):
+            assert row == list(cache.visible_cells(s, p))
+        # One sequence per batch (every pipeline run) reads only its row.
+        rows = self.expand(cache, [0, 0], [0, 1])
+        assert rows == [list(cache.visible_cells(0, 0)), list(cache.visible_cells(0, 1))]
 
     def test_visible_matrix_strict(self, cache):
-        cache.allocate([(0, {0}), (1, {0})])
-        mat = cache.visible_matrix([0], [1], inclusive=False)
-        assert list(np.flatnonzero(mat[0])) == list(
-            cache.visible_cells(0, 1, inclusive=False)
-        )
+        cache.allocate([(0, {0}), (1, {0}), (0, {1}), (1, {1})])
+        for seqs, positions in (([0], [1]), ([0, 0], [1, 2]), ([0, 1], [1, 2])):
+            rows = self.expand(cache, seqs, positions, inclusive=False)
+            for row, s, p in zip(rows, seqs, positions):
+                assert row == list(cache.visible_cells(s, p, inclusive=False))
 
     def test_visible_matrix_unknown_seq_is_empty(self, cache):
         cache.allocate([(0, {0})])
-        mat = cache.visible_matrix([999], [10])
-        assert not mat.any()
+        cells, mask = cache.visible_matrix([999], [10])
+        assert cells.size == 0 and mask.shape == (1, 0)
+        # Mixed with a known sequence, the unknown one's row stays empty.
+        rows = self.expand(cache, [999, 0], [10, 10])
+        assert rows == [[], list(cache.visible_cells(0, 10))]
 
     def test_counters_track_alloc_and_free(self, cache):
         assert cache.n_free == 16 and cache.n_used == 0
