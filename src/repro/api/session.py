@@ -16,7 +16,7 @@ back one report" with an *incremental* surface:
 - :meth:`drain` / :meth:`report` finish the session into the usual
   :class:`~repro.metrics.report.ClusterReport`.
 
-Streams are pure observers over the serving heads, so a session that
+Streams are pure observers over the serving head, so a session that
 submits a whole workload and drains without cancelling reproduces the
 batch path's outputs token for token.
 """

@@ -9,7 +9,7 @@ pipeline; the last rank returns logits straight to the head.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import List
 
 from repro.engines.base import BaseEngine
 
@@ -18,6 +18,7 @@ class PipeInferEngine(BaseEngine):
     """Continuous asynchronous pipelined speculation."""
 
     name = "pipeinfer"
+    synchronous = False
 
     def __init__(self, backend, network, config, metrics) -> None:
         super().__init__(backend, network, config, metrics)
@@ -32,9 +33,3 @@ class PipeInferEngine(BaseEngine):
 
     def hosts_draft(self) -> bool:
         return True
-
-    def _serve_head(self, scheduler) -> Generator:
-        """Serve request streams with multiplexed asynchronous speculation."""
-        from repro.serve.head import pipeinfer_serving_head  # cycle avoidance
-
-        return pipeinfer_serving_head(self, scheduler)

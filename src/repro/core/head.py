@@ -1,9 +1,10 @@
-"""Per-request operations of the PipeInfer head (paper Section IV).
+"""Per-request operations of the head (paper Section IV).
 
-Rank 0 hosts the draft model and no target layers.  Its loop, the serving
-head in :mod:`repro.serve.head`, implements continuous asynchronous
-speculation over one or many requests; a single job is its one-request
-case.  Per iteration it:
+The head holds no target layers.  Its loop, the serving head in
+:mod:`repro.serve.head`, serves every engine; a single job is its
+one-request case.  For PipeInfer, whose rank 0 hosts the draft model, it
+implements continuous asynchronous speculation over one or many requests.
+Per iteration it:
 
 1. samples/verifies waiting logits — advances the accepted stream, emits
    acceptance/release cache ops, detects invalidated and superfluous runs,
@@ -17,8 +18,15 @@ case.  Per iteration it:
 4. otherwise waits for a message.  A draft round that fails below the
    cutoff decays it once (IV-B2).
 
+The synchronous baselines are two policies of the same loop.  Iterative
+(and SingleNode) skip step 3, so each token is one canonical run.
+Speculative replaces steps 2 and 3 with one tree round
+(:func:`start_tree_round`, :func:`dispatch_tree`) whenever its tip is
+uncovered and nothing is in flight; :func:`verify_run_logits` verifies
+the tree run.
+
 Everything here operates on a :class:`RequestContext`; the loop itself
-lives in :func:`repro.serve.head.pipeinfer_serving_head`.
+lives in :func:`repro.serve.head.serving_head`.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from typing import Dict, List, Sequence, Tuple
 from repro.comm.message import Tag
 from repro.comm.payloads import (
     Activations,
+    CacheOp,
+    CacheOpKind,
     CancelMsg,
     DecodeMeta,
     FusedRun,
@@ -38,7 +48,9 @@ from repro.core.multibuffer import MultibufferManager
 from repro.core.run_state import RequestContext, RunFIFO, RunKind, RunRecord
 from repro.engines.base import GenerationJob
 from repro.models.sampler import argmax_token
-from repro.spec.verify import verify_chain
+from repro.spec.draft import draft_tree
+from repro.spec.tree_attention import assign_tree_seqs
+from repro.spec.verify import verify_chain, verify_tree
 
 #: Head-node CPU cost to sample/verify one logits vector.
 SAMPLE_TIME_PER_LOGIT = 3e-5
@@ -86,13 +98,11 @@ def build_run_payload(
     feed the verify walk) and False for prefill, where only the last
     prompt slot's logits are sampled.
     """
+    start = rec.start_pos
+    seqs = (rec.seq_id,)
+    last = len(rec.tokens) - 1
     slots = [
-        TokenSlot(
-            tok,
-            rec.start_pos + i,
-            (rec.seq_id,),
-            want_logits=want_all_logits or i == len(rec.tokens) - 1,
-        )
+        TokenSlot(tok, start + i, seqs, want_all_logits or i == last)
         for i, tok in enumerate(rec.tokens)
     ]
     meta = DecodeMeta(rec.run_id, slots, rec.is_speculative, oracle_states=states)
@@ -260,21 +270,29 @@ def verify_run_logits(
     # ---- sampling / verification --------------------------------------
     t = SAMPLE_TIME_PER_LOGIT * max(len(payload.logits), 1)
 
-    outcome = verify_chain(
-        len(accepted), rec.start_pos, rec.tokens, payload.logits
-    )
+    if rec.tree is None:
+        outcome = verify_chain(
+            len(accepted), rec.start_pos, rec.tokens, payload.logits
+        )
+    else:
+        outcome = verify_tree(payload.logits[0], rec.tree, payload.logits[1:])
+        stats.draft_tokens_accepted += outcome.n_draft_accepted
+        stats.draft_tokens_checked += outcome.n_draft_checked
+        ops.extend(tree_path_ops(rec, outcome.matched_nodes, mb.canonical))
 
     old_len = len(accepted)
     if outcome.new_tokens:
         accepted.extend(outcome.new_tokens)
         # Drafted-token accounting: verification just fixed the true
         # token at each new position; drafted tokens there were checked.
-        for p in range(old_len, len(accepted)):
-            d = ctx.drafted.pop(p, None)
-            if d is not None:
-                stats.draft_tokens_checked += 1
-                if d == accepted[p]:
-                    stats.draft_tokens_accepted += 1
+        # (Tree runs count theirs from the outcome; they leave no drafts.)
+        if ctx.drafted:
+            for p in range(old_len, len(accepted)):
+                d = ctx.drafted.pop(p, None)
+                if d is not None:
+                    stats.draft_tokens_checked += 1
+                    if d == accepted[p]:
+                        stats.draft_tokens_accepted += 1
         ctx.metrics.record_tokens(
             kernel.now + time_base + t, len(outcome.new_tokens)
         )
@@ -470,3 +488,99 @@ def dispatch_spec_burst(engine, dispatches) -> List[int]:
         ctx.metrics.stats.draft_tokens_proposed += n
         ctx.cutoff.on_dispatched()
     return dispatch_burst(engine, entries)
+
+
+# ---------------------------------------------------------------------------
+# Synchronous tree speculation (the Speculative baseline).
+# ---------------------------------------------------------------------------
+
+
+def start_tree_round(engine, ctx: RequestContext, per_token: float, on_complete) -> None:
+    """Draft one speculation tree at the request's tip (paper Section III).
+
+    The synchronous baseline distributes *both* models across the ranks
+    (llama.cpp MPI), so every drafted token traverses the whole pipeline
+    while the target stages idle: the round costs ``max(len(tree), 1) ×
+    per_token`` (:meth:`~repro.engines.backend.Backend.draft_pipeline_token_time`).
+    The tree is drafted from the backend's cursor for the chain, so head
+    work is paid per tree edge, not per context token.  The cost elapses
+    as one kernel event, at whose instant ``on_complete(tree)`` runs.
+    """
+    be = engine.backend
+    kernel = engine.net.kernel
+    tree = draft_tree(
+        be, be.draft_cursor(ctx.chain), len(ctx.accepted) - 1, engine.config.draft
+    )
+    cost = max(len(tree), 1) * per_token
+
+    def drafted() -> None:
+        # Each target rank computes its share of every drafted token.
+        engine.metrics.add_busy(0, cost / len(engine.target_ranks()))
+        on_complete(tree)
+
+    kernel.call_at(kernel.now + cost, drafted)
+
+
+def dispatch_tree(engine, ctx: RequestContext, tree, branch_seqs: Sequence[int]) -> None:
+    """Send the tip token and ``tree`` through the pipeline as one run.
+
+    Each leaf's branch lives in its own pool partition (``branch_seqs``,
+    one per leaf); a node belongs to the branches of every leaf beneath
+    it, so attending within one branch sees exactly its ancestors.  The
+    run's cache ops copy the canonical prefix into every branch ahead of
+    it in the same burst.  The tip token's cell is written by this run,
+    after those copies, so its slot carries the canonical id and every
+    branch id.  The record starts at the tip with the tip token, so it
+    covers the tip until its logits return.
+    """
+    be = engine.backend
+    stats = ctx.metrics.stats
+    tip = len(ctx.accepted) - 1
+    tip_token = ctx.accepted[tip]
+    canonical = ctx.kv.canonical
+    rec = RunRecord(
+        engine.new_run_id(),
+        RunKind.SPECULATIVE,
+        [tip_token] + [node.token for node in tree.nodes],
+        tip,
+        canonical,
+        tree=tree,
+        branch_seqs=tuple(branch_seqs),
+    )
+    slots = [TokenSlot(tip_token, tip, (canonical, *branch_seqs), True)]
+    for node, seqs in zip(tree.nodes, assign_tree_seqs(tree, branch_seqs)):
+        slots.append(TokenSlot(node.token, node.pos, tuple(sorted(seqs)), True))
+    # The tip's state comes from the chain; an oracle tree node's cursor
+    # is already the rolling state after its path.
+    states = be.slot_states(ctx.chain, tip, 1)
+    if states is not None:
+        states.extend(node.cursor for node in tree.nodes)
+    meta = DecodeMeta(rec.run_id, slots, True, oracle_states=states)
+    act = Activations(
+        rec.run_id, nbytes=TOKEN_ACTIVATION_BYTES_PER_TOKEN * len(slots), hidden=None
+    )
+    ops = [CacheOp(CacheOpKind.SEQ_CP, canonical, b, 0, tip + 1) for b in branch_seqs]
+    engine.send_burst(engine.target_ranks()[0], [ops, FusedRun(meta, act)])
+    track_dispatch(ctx, rec)
+    ctx.n_spec_inflight += 1
+    stats.speculative += 1
+    stats.draft_tokens_proposed += len(tree)
+
+
+def tree_path_ops(rec: RunRecord, matched: Sequence[int], canonical: int) -> List:
+    """Copy a verified tree run's accepted path into the canonical sequence.
+
+    Any branch through the last matched node holds the whole path.  The
+    bonus or correction token has no cell yet, as for chain runs.
+    """
+    if not matched:
+        return []
+    tree = rec.tree
+    branches = rec.branch_seqs
+    if len(branches) == 1:  # a chain tree
+        path_seq = branches[0]
+    else:
+        path_seq = min(assign_tree_seqs(tree, branches)[matched[-1]])
+    lo = tree.nodes[matched[0]].pos
+    hi = tree.nodes[matched[-1]].pos + 1
+    return [CacheOp(CacheOpKind.SEQ_CP, path_seq, canonical, lo, hi)]

@@ -135,8 +135,11 @@ class MultibufferManager:
         Accepted cells survive: they were copied into the canonical
         sequence (and into successor partitions at their dispatch);
         removing this sequence id only frees cells no other sequence
-        references — the rejected suffix.
+        references — the rejected suffix.  A tree run drops every branch
+        partition; its accepted path was copied to the canonical sequence.
         """
+        if rec.branch_seqs:
+            return [CacheOp(CacheOpKind.SEQ_RM, b, b, 0, SEQ_END) for b in rec.branch_seqs]
         if rec.seq_id == self.canonical:
             return []
         return [CacheOp(CacheOpKind.SEQ_RM, rec.seq_id, rec.seq_id, 0, SEQ_END)]
@@ -152,7 +155,9 @@ class MultibufferManager:
     # -- lifecycle ------------------------------------------------------------------
 
     def on_run_complete(self, rec: RunRecord) -> None:
-        """Release the partition and fix the chain pointer."""
+        """Release the partition(s) and fix the chain pointer."""
+        for b in rec.branch_seqs:
+            self.pool.release(b)
         if rec.seq_id != self.canonical:
             self.pool.release(rec.seq_id)
             if self.chain_seq == rec.seq_id:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 from repro.util.fifo import FifoQueue
@@ -54,6 +54,11 @@ class RunRecord:
         cancelled: set when invalidated; the run's logits are discarded.
         superfluous: set when all its predictions are already known; the
             run still evaluates fully (canonical) but sampling is skipped.
+        tree: the :class:`~repro.spec.tree.SpecTree` a tree run verifies
+            (the Speculative baseline); None for chain runs.  A tree run's
+            ``tokens`` are the tip token followed by the tree's nodes.
+        branch_seqs: the pool partitions holding a tree run's branches,
+            one per leaf; released with the run.
     """
 
     run_id: int
@@ -63,6 +68,8 @@ class RunRecord:
     seq_id: int
     cancelled: bool = False
     superfluous: bool = False
+    tree: Any = None
+    branch_seqs: Tuple[int, ...] = ()
 
     @property
     def n_tokens(self) -> int:
@@ -206,7 +213,7 @@ class RunFIFO:
 class RequestContext:
     """All head-side state for one generation request.
 
-    The PipeInfer head multiplexes many requests through one pipeline, so
+    The serving head multiplexes many requests through one pipeline, so
     each request's state lives in a context object; a single job is the
     one-context case.
 

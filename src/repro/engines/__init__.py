@@ -5,7 +5,10 @@
 - :mod:`repro.engines.speculative` — pipeline-parallel speculative
   inference (SpecInfer-style, synchronous speculate-then-verify);
 
-plus the shared machinery they and :mod:`repro.core` (PipeInfer) build on:
+Each is a class naming its rank layout and head policy.  The one serving
+head (:mod:`repro.serve.head`) runs them as it runs PipeInfer
+(:mod:`repro.core`), under a synchronous policy that admits one request
+at a time.  All of them rest on the shared machinery:
 backends (:mod:`repro.engines.backend`), the pipeline worker process
 (:mod:`repro.engines.worker`), and run configuration/result types
 (:mod:`repro.engines.base`).

@@ -1,19 +1,22 @@
 """Shared engine machinery: configuration, wiring, dispatch helpers.
 
 An *engine* is one inference strategy.  Every engine runs every target
-stage in the pipeline worker (:mod:`repro.engines.worker`); engines differ
-in their head-node process, which holds no layers.  A :class:`BaseEngine`
-handles the common wiring: rank layout, layer partitioning, worker state,
-transaction dispatch, and shutdown.  :func:`run_engine` runs one
-generation job as a one-request queue on a fresh
-:class:`~repro.serve.cluster.Replica` and returns an :class:`EngineReport`.
+stage in the pipeline worker (:mod:`repro.engines.worker`) and is served
+by the one head loop (:func:`repro.serve.head.serving_head`), which holds
+no layers.  Engines differ in their rank layout and in their head
+policy: ``synchronous`` and :meth:`BaseEngine.hosts_draft`.  A
+:class:`BaseEngine` handles the common wiring: rank layout, layer
+partitioning, worker state, transaction dispatch, and shutdown.
+:func:`run_engine` runs one generation job as a one-request queue on a
+fresh :class:`~repro.serve.cluster.Replica` and returns an
+:class:`EngineReport`.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.kernel import SimKernel
 from repro.cluster.topology import Cluster
@@ -151,6 +154,9 @@ class BaseEngine:
     """Common wiring for pipeline engines."""
 
     name = "base"
+    #: Head policy: a synchronous engine keeps one request active and
+    #: never speculates asynchronously (the paper's baselines).
+    synchronous = True
 
     def __init__(
         self,
@@ -164,10 +170,10 @@ class BaseEngine:
         self.cluster = network.cluster
         self.config = config
         self.metrics = metrics
-        #: Per-request reports, populated by the serving heads.
+        #: Per-request reports, populated by the serving head.
         self.request_reports: List = []
         #: req_id -> the request's own collector (its timeline and head
-        #: stats), populated by the serving heads.
+        #: stats), populated by the serving head.
         self.request_metrics: Dict[int, MetricsCollector] = {}
         self._next_run_id = 0
         #: Fault plumbing — populated only by :mod:`repro.faults` runs.
@@ -281,8 +287,10 @@ class BaseEngine:
         cluster driver pushes requests one at a time; the pipeline stays up
         until the queue is closed and every request has completed.
         """
+        from repro.serve.head import serving_head  # cycle avoidance
+
         procs = self._spawn_workers(kernel)
-        procs.append(kernel.spawn(self._serve_head(scheduler), name="serve-head"))
+        procs.append(kernel.spawn(serving_head(self, scheduler), name="serve-head"))
         self._procs = procs
         self._record_memory()
         return procs
@@ -304,23 +312,6 @@ class BaseEngine:
                     layer_range, hosts_draft, self.config.n_cells, first, last
                 ),
             )
-
-    def _generate(self, job: GenerationJob, metrics: MetricsCollector) -> Generator:
-        """One request's generation loop; returns the accepted stream.
-
-        The loop records its timeline and head stats in ``metrics``, the
-        request's own collector.  Engines implementing this (the
-        sequential baselines) are driven by the FCFS serving head, which
-        runs requests back-to-back on one pipeline.  PipeInfer overrides
-        ``_serve_head`` directly with a multiplexing loop instead.
-        """
-        raise NotImplementedError(f"{self.name} cannot serve request streams")
-
-    def _serve_head(self, scheduler) -> Generator:
-        """The head process for serving mode (default: sequential FCFS)."""
-        from repro.serve.head import sequential_serving_head  # cycle avoidance
-
-        return sequential_serving_head(self, scheduler)
 
     # -- dispatch helpers -----------------------------------------------------------
 

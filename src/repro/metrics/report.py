@@ -212,13 +212,6 @@ class ServingReport:
     #: Requests cancelled mid-flight (client disconnects).
     n_cancelled: int = 0
 
-    @property
-    def resumes_per_message(self) -> float:
-        """Process resumes per delivered message (lower is better)."""
-        if self.n_delivered <= 0:
-            return 0.0
-        return self.n_resumes / self.n_delivered
-
     @classmethod
     def from_requests(
         cls,

@@ -1,12 +1,12 @@
-"""Multi-request serving: scheduler, serving heads, and the one driver.
+"""Multi-request serving: scheduler, serving head, and the one driver.
 
 The serving layer is the request-level system every run goes through;
 a single job (:func:`repro.engines.base.run_engine`) is a one-request
 queue on one :class:`Replica`.  Requests are pushed one at a time into a
 :class:`RequestScheduler` — the FCFS admission queue of one long-lived
-pipeline — and the engine's serving head multiplexes work across the
-active requests.  See :mod:`repro.serve.head` for the two head
-disciplines.
+pipeline — and one serving head, shared by every engine, multiplexes
+work across the active requests.  See :mod:`repro.serve.head` for the
+engines' head policies.
 
 One driver feeds every workload: :class:`EngineCluster`
 (:mod:`repro.serve.cluster`) runs K :class:`Replica` pipelines behind a

@@ -1,34 +1,37 @@
-"""Serving-head processes: request streams through one long-lived pipeline.
+"""The serving head: request streams through one long-lived pipeline.
 
-Two head loops implement serving:
+One head loop, :func:`serving_head`, serves every engine.  It is the
+PipeInfer head generalized from one job to many: it multiplexes
+canonical and speculative runs of every *active* request through the
+pipeline, filling bubbles left by one request's cancelled or exhausted
+speculation with another request's work (the composition PipeSpec
+observes falls out of asynchronous speculation naturally).  Per-request
+state lives in :class:`~repro.core.run_state.RequestContext`; KV sequence
+slots are partitioned across requests by a shared
+:class:`~repro.util.fifo.SequencePool` — each request owns a canonical
+partition for its lifetime and returns it (plus any speculative
+partitions) on completion.  With ``EngineConfig.prefix_cache`` on, the
+pool additionally backs a cross-request prefix cache
+(:mod:`repro.cache.prefix`): admissions materialize cached prompt
+prefixes by pipelined ``seq_cp``/``seq_broadcast`` transactions and
+prefill only the unmatched tail; completions donate their verified
+prompt KV back instead of releasing it.
 
-- :func:`pipeinfer_serving_head` — the PipeInfer head generalized from
-  one job to many: it multiplexes canonical and speculative runs of every
-  *active* request through the pipeline, filling bubbles left by one
-  request's cancelled or exhausted speculation with another request's
-  work (the composition PipeSpec observes falls out of asynchronous
-  speculation naturally).  Per-request state lives in
-  :class:`~repro.core.run_state.RequestContext`; KV sequence slots are
-  partitioned across requests by a shared
-  :class:`~repro.util.fifo.SequencePool` — each request owns a canonical
-  partition for its lifetime and returns it (plus any speculative
-  partitions) on completion.  With ``EngineConfig.prefix_cache`` on, the
-  pool additionally backs a cross-request prefix cache
-  (:mod:`repro.cache.prefix`): admissions materialize cached prompt
-  prefixes by pipelined ``seq_cp``/``seq_broadcast`` transactions and
-  prefill only the unmatched tail; completions donate their verified
-  prompt KV back instead of releasing it.
+The synchronous baselines are policies of the same loop, named by the
+engine's ``synchronous`` attribute and ``hosts_draft()``.  A synchronous
+engine admits a request only when nothing is active, so it serves FCFS.
+Iterative and SingleNode draft nothing: every token is one canonical
+run.  Speculative drafts one tree whenever its tip is uncovered and
+nothing is in flight, and verifies it before drafting the next.  Every
+engine therefore gets the same crash recovery, cancellation, streams and
+prefix-cache plumbing.
 
-- :func:`sequential_serving_head` — FCFS, one request at a time, for the
-  synchronous baselines (iterative, speculative, single-node) whose head
-  blocks on the pipeline.  The pipeline stays up between requests; KV
-  state is cleared with a pipelined ``SEQ_RM`` after each one.
-
-Both read the replica's :class:`~repro.serve.scheduler.RequestScheduler`,
-into which the cluster driver pushes requests one at a time: a head keeps
-the pipeline up while its queue is open, and shuts it down once the queue
-is closed and every request has completed.  Both record a
-:class:`~repro.metrics.report.RequestReport` per request and leave the
+The head reads the replica's
+:class:`~repro.serve.scheduler.RequestScheduler`, into which the cluster
+driver pushes requests one at a time: it keeps the pipeline up while its
+queue is open, and shuts it down once the queue is closed and every
+request has completed.  It records a
+:class:`~repro.metrics.report.RequestReport` per request and leaves the
 list on ``engine.request_reports``.
 """
 
@@ -37,7 +40,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Generator, List
 
-from repro.cluster.kernel import Delay
 from repro.comm.message import Tag
 from repro.comm.payloads import CacheOp, CacheOpKind
 from repro.core.head import (
@@ -45,12 +47,14 @@ from repro.core.head import (
     dispatch_burst,
     dispatch_prefill,
     dispatch_spec_burst,
+    dispatch_tree,
     new_request_context,
     cancel_run,
     process_prefill_logits,
     send_cancels,
     spec_allowed,
     start_draft_round,
+    start_tree_round,
     verify_run_logits,
 )
 from repro.cache.prefix import PrefixCacheManager, PrefixMatch
@@ -87,27 +91,35 @@ def _report_for(ctx: RequestContext) -> RequestReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# PipeInfer: multiplexed continuous speculation across requests.
-# ---------------------------------------------------------------------------
+def serving_head(engine, scheduler: RequestScheduler) -> Generator:
+    """Head process serving a request stream, for every engine.
 
-
-def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
-    """Head process serving a request stream with asynchronous speculation.
-
-    This is the one PipeInfer head: a single job runs through it as a
-    one-request queue (:func:`repro.engines.base.run_engine`).  The
-    paper's four priorities (sample waiting logits, keep the tip covered,
-    speculate, idle) become, per iteration: admit arrived requests,
-    sample the oldest waiting logits (the global dispatch FIFO identifies
-    the owning request), dispatch canonical runs for every request whose
-    tip is uncovered, then run a *batched draft round*: all requests that
-    may speculate draft together (their one-token draft decodes evaluate
-    as one cross-request batch) and their speculative runs leave as one
+    A single job runs through it as a one-request queue
+    (:func:`repro.engines.base.run_engine`).  The paper's four priorities
+    (sample waiting logits, keep the tip covered, speculate, idle)
+    become, per iteration: admit arrived requests, sample the oldest
+    waiting logits (the global dispatch FIFO identifies the owning
+    request), dispatch canonical runs for every request whose tip is
+    uncovered, then run a *batched draft round*: all requests that may
+    speculate draft together (their one-token draft decodes evaluate as
+    one cross-request batch) and their speculative runs leave as one
     transaction burst — the draft scheduler keeping the pipeline's fusion
     windows wide in steady state.
+
+    A synchronous engine admits one request at a time and never runs the
+    draft round.  If it hosts a draft model (Speculative), an uncovered
+    tip with nothing in flight starts a tree round instead of a
+    canonical run.
     """
     cfg = engine.config
+    #: The engine's policy (module docstring).
+    sync = engine.synchronous
+    trees = sync and engine.hosts_draft()
+    if trees:
+        nodes = [engine.cluster.nodes[r] for r in engine.target_ranks()]
+        per_draft_token = engine.backend.draft_pipeline_token_time(
+            nodes, engine.cluster.link_spec.latency
+        )
     ep = engine.ep()
     kernel = engine.net.kernel
     last_target = engine.target_ranks()[-1]
@@ -193,7 +205,11 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
         # and the whole sweep's materializations coalesce per cached node
         # (one seq_broadcast per node shared by several admissions).
         admitted: List = []
-        while scheduler.ready(kernel.now) and scheduler.may_admit(len(active)):
+        while (
+            not (sync and active)
+            and scheduler.ready(kernel.now)
+            and scheduler.may_admit(len(active))
+        ):
             req = scheduler.peek_ready(kernel.now)
             match = cache.match(req.job.prompt) if cache else PrefixMatch()
             if match:
@@ -299,8 +315,6 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
         Unknown ids are ignored (cluster front-ends broadcast cancels to
         every replica without tracking placement).
         """
-        if not engine._cancel_requests:
-            return
         rids, engine._cancel_requests = engine._cancel_requests, []
         cancels: List = []
         for rid in rids:
@@ -441,24 +455,57 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
                 # Draft confidence halted this request's speculation: the
                 # cutoff decays once per failed round (IV-B2).
                 ctx.cutoff.on_failed_idle()
+        # Re-enter the loop when the round dispatched: more may be drafted.
+        if progressed:
+            step()
+        else:
+            resume()
+
+    def resume() -> None:
+        """Continue after a draft round: re-enter the loop when logits, a
+        cancel or a worker restart landed *while the round computed*.
+
+        Each notified the arrival watchers before idle() could park one,
+        so parking now would sleep through input that is already waiting
+        (a deadlock once no further traffic arrives to re-wake the head).
+        """
         if (
-            progressed
-            or ep.iprobe(last_target, Tag.LOGITS)
+            ep.iprobe(last_target, Tag.LOGITS)
             or engine._cancel_requests
             or engine._fault_events
         ):
-            # Re-enter the loop when the round dispatched — or when
-            # logits, a cancel or a worker restart landed *while the
-            # draft round computed*: each notified the arrival watchers
-            # before idle() could park one, so parking now would sleep
-            # through input that is already waiting (a deadlock once no
-            # further traffic arrives to re-wake the head).
             step()
         else:
             idle()
 
+    def after_tree(ctx: RequestContext, tree) -> None:
+        """A tree round ended: dispatch the tree with one pool partition
+        per leaf, or the tip's canonical run when the tree is empty or
+        the pool cannot free enough partitions."""
+        branches: List[int] = []
+        n_leaves = len(tree.leaves())
+        while len(branches) < n_leaves and ensure_pool_seq():
+            branches.append(ctx.kv.allocate())
+        if branches and len(branches) == n_leaves:
+            dispatch_tree(engine, ctx, tree, branches)
+            order.append(ctx.req_id)
+        else:
+            for b in branches:
+                pool.release(b)
+            rec, states = canonical_entry(engine, ctx)
+            order.extend(dispatch_burst(engine, [(ctx, rec, states, [])]))
+        # The run now covers the tip, and a synchronous engine admits
+        # nothing while it is active: the loop has only input to act on.
+        resume()
+
     def idle() -> None:
         # ---- priority 4: idle ---------------------------------------------
+        if active and sync:
+            # A synchronous engine admits nothing while a request is
+            # active and gates no speculation on health: only a message
+            # (or a restart's wake) needs the head.
+            arrival_step(None)
+            return
         if active:
             # Every active request has work in flight (priority 2
             # guarantees tip coverage), so a message is certain to arrive
@@ -502,7 +549,8 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
             if engine._fault_events:
                 engine._fault_events.clear()
                 recover_from_restart()
-            process_cancels()
+            if engine._cancel_requests:
+                process_cancels()
             admit_ready()
 
             # ---- priority 1: sample/verify waiting logits -----------------
@@ -585,18 +633,31 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
             # Every request with an uncovered tip gets its canonical run,
             # all of them coalesced into one burst transaction (dispatch
             # takes no simulated time, so batching them never delays
-            # sampling).
+            # sampling).  A tree-drafting engine starts a tree round here
+            # instead, once nothing is in flight (so nothing covers the
+            # tip); the tree run then covers the tip until its logits
+            # return.
             entries = []
             for rid in list(rotation):
                 ctx = active[rid]
                 if not ctx.prefilled or ctx.done:
                     continue
-                if not ctx.fifo.covers_tip(ctx.accepted):
+                if trees:
+                    if not ctx.fifo:
+                        start_tree_round(
+                            engine, ctx, per_draft_token,
+                            lambda tree, ctx=ctx: after_tree(ctx, tree),
+                        )
+                        return
+                elif not ctx.fifo.covers_tip(ctx.accepted):
                     rec, states = canonical_entry(engine, ctx)
                     entries.append((ctx, rec, states, []))
             if entries:
                 order.extend(dispatch_burst(engine, entries))
                 continue
+            if sync:
+                idle()
+                return
 
             # ---- priority 3: continuous speculation, batched across -------
             # requests.  The draft scheduler: collect every request whose
@@ -652,66 +713,3 @@ def pipeinfer_serving_head(engine, scheduler: RequestScheduler) -> Generator:
     step()
     if not done.resolved:
         yield done
-
-
-
-# ---------------------------------------------------------------------------
-# Baselines: FCFS, one request at a time.
-# ---------------------------------------------------------------------------
-
-
-def sequential_serving_head(engine, scheduler: RequestScheduler) -> Generator:
-    """FCFS serving for synchronous engines: run requests back-to-back.
-
-    Each request's ``_generate`` records its timeline and head stats in a
-    fresh collector of its own; stage busy time, worker stats and the
-    head's draft cost accumulate in ``engine.metrics``, the replica's.
-    """
-    kernel = engine.net.kernel
-    reports: List[RequestReport] = []
-
-    while scheduler.has_pending() or scheduler.stream_open():
-        if not scheduler.has_pending():
-            # Nothing queued: park until the driver pushes the next
-            # request or closes the queue — both notify this endpoint's
-            # arrival watchers.
-            fut = kernel.future(f"queue-wait@{engine.head_rank()}")
-            fut.detail = "wait_for_routed_request"
-            engine.ep()._arrival_watchers.append(fut)
-            yield fut
-            continue
-        nxt = scheduler.peek_next()
-        if nxt.arrival > kernel.now:
-            yield Delay(nxt.arrival - kernel.now)
-        req = scheduler.pop_ready(kernel.now)
-        admitted_at = kernel.now
-        per = engine.request_metrics[req.req_id] = MetricsCollector()
-        accepted = yield from engine._generate(req.job, per)
-        finish = kernel.now
-        reports.append(
-            RequestReport(
-                req_id=req.req_id,
-                tokens=list(accepted[len(req.job.prompt):][: req.job.n_generate]),
-                arrival=req.arrival,
-                admitted_at=admitted_at,
-                prefill_end=per.prefill_end if per.prefill_end is not None else admitted_at,
-                finish_time=finish,
-                itl_samples=per.itl_samples(),
-                stats=per.stats,
-                prompt_tokens=len(req.job.prompt),
-                priority=req.priority,
-                ttft_slo=req.ttft_slo,
-                itl_slo=req.itl_slo,
-            )
-        )
-        scheduler.on_completed(req.req_id, finish)
-
-        # Clear the finished request's KV cells on every stage so the next
-        # request's positions start clean.
-        engine.send_cache_ops(
-            engine.target_ranks()[0], [CacheOp(CacheOpKind.SEQ_RM, 0, 0, 0, SEQ_END)]
-        )
-
-    engine.request_reports = reports
-    engine.metrics.mark_finish(kernel.now)
-    engine.shutdown_pipeline()

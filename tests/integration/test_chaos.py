@@ -15,7 +15,10 @@ seeds:
   determinism contract extends to faults);
 - the fault path is event-driven: a worker restart and a straggler
   window's end wake the serving head directly, and a faulty run costs a
-  small multiple of the clean run's kernel events, not a poll per 0.2 ms.
+  small multiple of the clean run's kernel events, not a poll per 0.2 ms;
+- every engine recovers through the one head: a worker crash mid-decode
+  leaves PipeInfer's and both baselines' tokens equal to single-node
+  inference on real model math.
 """
 
 import pytest
@@ -24,12 +27,17 @@ import repro.serve.head as serve_head
 from repro import (
     EngineConfig,
     FaultPlan,
+    FunctionalBackend,
     GenerationJob,
+    IterativeEngine,
     OracleBackend,
     PipeInferEngine,
+    SingleNodeEngine,
+    SpeculativeEngine,
     Workload,
     cluster_c,
     get_pair,
+    run_engine,
     run_serving,
 )
 from repro.faults import CrashSpec, LinkFault, StragglerSpec
@@ -277,3 +285,35 @@ def test_functional_backend_under_loss(tiny_target, tiny_draft):
     faulty = run(plan)
     assert faulty.outputs() == clean.outputs()
     assert faulty.stats.retransmits > 0
+
+
+@pytest.mark.parametrize(
+    "engine", [PipeInferEngine, IterativeEngine, SpeculativeEngine],
+    ids=lambda e: e.name,
+)
+def test_worker_crash_mid_decode_recovers_every_engine(
+    engine, tiny_target, tiny_draft, functional_config
+):
+    """A functional-backend worker crashes halfway through decode: the
+    head flushes its runs, re-prefills the verified stream, and the
+    served tokens still equal single-node inference."""
+    job = GenerationJob(prompt=tuple(3 + 2 * i for i in range(8)), n_generate=28)
+
+    def backend():
+        return FunctionalBackend(tiny_target, tiny_draft, n_cells=512)
+
+    reference = run_engine(SingleNodeEngine, backend(), cluster_c(1), job)
+    workload = Workload(jobs=(job,))
+    clean = run_serving(engine, backend(), cluster_c(4), workload, functional_config)
+    req = clean.requests[0]
+    plan = FaultPlan(
+        crashes=(CrashSpec(2, at=(req.prefill_end + req.finish_time) / 2),)
+    )
+    rep = run_serving(
+        engine, backend(), cluster_c(4), workload, functional_config,
+        fault_plan=plan,
+    )
+    assert clean.outputs()[0] == reference.tokens
+    assert rep.outputs()[0] == reference.tokens
+    assert rep.stats.worker_restarts == 1
+    assert rep.stats.reprefilled_tokens > 0

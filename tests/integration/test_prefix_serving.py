@@ -16,9 +16,11 @@ from repro import (
     GenerationJob,
     OracleBackend,
     PipeInferEngine,
+    SpeculativeEngine,
     Workload,
     cluster_c,
     get_pair,
+    run_engine,
     run_serving,
 )
 from repro.workloads import SharedPrefixTemplate
@@ -134,3 +136,26 @@ class TestFullyShared:
                 f"{shared_len}+{unique_len}: {off.ttft_mean:.2f}s -> "
                 f"{on.ttft_mean:.2f}s"
             )
+
+
+def test_speculative_tree_yields_to_pinned_prefixes(pair):
+    """Speculative serves through the same prefix cache.  With two pool
+    partitions, a request whose match pins the one retained sequence
+    holds the whole pool, so its tree rounds cannot take a branch
+    partition and send canonical runs instead — same tokens, no crash."""
+    cluster = cluster_c(4)
+    jobs = make_jobs(
+        pair, share_fraction=1.0, shared_len=48, unique_len=8, seed=5,
+        n_requests=3, n_generate=12,
+    )
+    cfg = EngineConfig(n_seq_partitions=2, prefix_cache=True)
+    backend = OracleBackend(pair, head_node=cluster.nodes[0])
+    report = run_serving(SpeculativeEngine, backend, cluster, Workload(jobs=jobs), cfg)
+    for i, job in enumerate(jobs):
+        solo = run_engine(SpeculativeEngine, backend, cluster, job)
+        assert report.outputs()[i] == solo.tokens
+    first, *hits = report.requests
+    assert first.stats.speculative > 0
+    for r in hits:
+        assert r.cached_tokens > 0
+        assert r.stats.speculative == 0 and r.stats.canonical > 0

@@ -248,6 +248,10 @@ class TestServingReport:
 
 
 class TestSequentialBaselines:
+    """The synchronous baselines are served by the same head as PipeInfer,
+    under a policy that admits a request only when nothing is active: FCFS,
+    one request at a time."""
+
     @pytest.mark.parametrize("engine", [SpeculativeEngine, IterativeEngine])
     def test_baseline_serving_matches_single_job(
         self, engine, oracle_backend, cluster, jobs
@@ -257,6 +261,9 @@ class TestSequentialBaselines:
         for i, job in enumerate(jobs[:3]):
             single = run_engine(engine, oracle_backend, cluster, job)
             assert report.outputs()[i] == single.tokens
+        served = sorted(report.requests, key=lambda r: r.admitted_at)
+        for prev, nxt in zip(served, served[1:]):
+            assert nxt.admitted_at >= prev.finish_time
 
 
 class TestFunctionalServing:

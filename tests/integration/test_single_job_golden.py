@@ -1,8 +1,8 @@
 """Golden single-job pin: every ``EngineReport`` field of a PipeInfer job.
 
 A single job runs as a one-request queue on a serving
-:class:`~repro.serve.cluster.Replica`, through the one PipeInfer head
-(``serve/head.py``'s ``pipeinfer_serving_head``).  Rewrites of that path
+:class:`~repro.serve.cluster.Replica`, through the one serving head
+(``serve/head.py``'s ``serving_head``).  Rewrites of that path
 must not move a single simulated number.  This suite runs a fixed set of
 single-job PipeInfer generations through :func:`run_engine` and compares
 ``dataclasses.asdict`` of each report against values committed in

@@ -13,6 +13,9 @@ The acceptance bar for the streaming layer:
   without cancelling reproduces the batch outputs token for token;
 - :class:`AsyncFrontend` clients stream exactly their single-job tokens,
   and an early disconnect cancels the request mid-flight;
+- every engine streams and cancels through the one head: the synchronous
+  baselines' streams fill and close, a cancel closes them, and
+  ``AsyncFrontend.complete`` returns;
 - SLO tags flow arrival -> scheduler -> report: goodput equals
   throughput without SLOs and drops below it under impossible ones.
 """
@@ -26,8 +29,10 @@ import pytest
 from repro import (
     ClusterConfig,
     GenerationJob,
+    IterativeEngine,
     OracleBackend,
     PipeInferEngine,
+    SpeculativeEngine,
     cluster_c,
     get_pair,
     run_engine,
@@ -143,11 +148,11 @@ class TestStreamServingIdentity:
             assert by_id[i].itl_slo == slo_workload.itl_slos[i]
 
 
-def _engine_cluster(pair, k=1, config=None, **cluster_kw):
+def _engine_cluster(pair, k=1, config=None, engine=PipeInferEngine, **cluster_kw):
     clusters = [cluster_c(4) for _ in range(k)]
     backends = [OracleBackend(pair, head_node=c.nodes[0]) for c in clusters]
     return EngineCluster(
-        PipeInferEngine,
+        engine,
         backends,
         clusters,
         cluster_config=ClusterConfig(n_replicas=k, **cluster_kw),
@@ -275,6 +280,55 @@ class TestAsyncFrontend:
         backend, cluster = _parts(pair)
         solo = run_engine(PipeInferEngine, backend, cluster, jobs[0])
         assert full == solo.tokens
+
+
+@pytest.mark.parametrize(
+    "engine", [PipeInferEngine, IterativeEngine, SpeculativeEngine],
+    ids=lambda e: e.name,
+)
+class TestEveryEngineStreams:
+    """The baselines stream, cancel and complete like PipeInfer."""
+
+    @staticmethod
+    def _solo(pair, engine, job):
+        backend, cluster = _parts(pair)
+        return run_engine(engine, backend, cluster, job).tokens
+
+    def test_session_stream_fills_and_closes(self, pair, engine):
+        sess = ServingSession(_engine_cluster(pair, engine=engine))
+        job = _jobs(pair, n=1)[0]
+        stream = sess.submit(job)
+        for _ in range(job.n_generate + 1):
+            if stream.closed:
+                break
+            assert sess.advance_until(stream), "drained with the stream open"
+        assert stream.closed and stream.finished
+        assert stream.tokens == self._solo(pair, engine, job)
+        assert sess.report().outputs()[0] == stream.tokens
+
+    def test_cancel_closes_stream(self, pair, engine):
+        sess = ServingSession(_engine_cluster(pair, engine=engine))
+        jobs = _jobs(pair, n=2, n_generate=16)
+        dropped, kept = sess.submit(jobs[0]), sess.submit(jobs[1])
+        assert sess.advance_until(lambda: dropped.n_tokens >= 3)
+        sess.cancel(dropped)
+        report = sess.report()
+        assert dropped.closed and dropped.cancelled
+        assert 3 <= dropped.n_tokens < 16
+        by_id = {r.req_id: r for r in report.merged.requests}
+        assert by_id[0].cancelled and not by_id[1].cancelled
+        assert kept.tokens == self._solo(pair, engine, jobs[1])
+
+    def test_async_complete_returns(self, pair, engine):
+        job = _jobs(pair, n=1)[0]
+
+        async def scenario():
+            fe = AsyncFrontend(_engine_cluster(pair, engine=engine))
+            # Bounded, so a head that never closes the stream fails the
+            # test instead of hanging it.
+            return await asyncio.wait_for(fe.complete(job), timeout=10.0)
+
+        assert asyncio.run(scenario()) == self._solo(pair, engine, job)
 
 
 class TestGoodput:

@@ -4,7 +4,16 @@ import dataclasses
 
 import pytest
 
-from repro import EngineConfig
+from repro import (
+    EngineConfig,
+    GenerationJob,
+    OracleBackend,
+    SpeculativeEngine,
+    cluster_c,
+    get_pair,
+    run_engine,
+)
+from repro.spec.draft import DraftParams
 
 
 def test_defaults_valid():
@@ -81,3 +90,29 @@ def test_prefix_cache_defaults():
     assert cfg.prefix_cache_cells == 1024
     assert cfg.min_match_tokens == 8
     assert cfg.ablated(prefix_cache=True).prefix_cache is True
+
+
+@pytest.mark.parametrize(
+    "partitions, draft, ok",
+    [
+        (2, DraftParams(max_tokens=4, branch_width=1), True),  # a chain: one leaf
+        (4, DraftParams(max_tokens=4, branch_width=2), False),  # up to 4 leaves
+        (5, DraftParams(max_tokens=4, branch_width=2), True),
+    ],
+)
+def test_speculative_rejects_trees_the_pool_cannot_hold(partitions, draft, ok):
+    """Speculative keeps each tree leaf's branch in its own pool partition,
+    beside the request's canonical one."""
+    cluster = cluster_c(2)
+    cfg = EngineConfig(n_seq_partitions=partitions, draft=draft)
+    job = GenerationJob(prompt=(1, 2, 3, 4), n_generate=4)
+
+    def run():
+        backend = OracleBackend(get_pair("dolphin+tinyllama"), head_node=cluster.nodes[0])
+        return run_engine(SpeculativeEngine, backend, cluster, job, cfg)
+
+    if ok:
+        assert len(run().tokens) == 4
+    else:
+        with pytest.raises(ValueError, match="branch partitions"):
+            run()
