@@ -126,35 +126,49 @@ class Link:
         Returns:
             The simulated arrival time.
         """
+        arrival = self._depart(nbytes, eager_hint)[0]
+        self._deliver(arrival, on_delivered)
+        return arrival
+
+    def _depart(self, nbytes: float, eager_hint: bool) -> tuple:
+        """Put a message on its lane now: ``(arrival, took_eager_lane)``.
+
+        Chooses the lane, counts the message and its bytes, and advances
+        the bulk lane; :meth:`_deliver` then queues the delivery.  A
+        :class:`~repro.faults.inject.FaultyLink` draws its faults between
+        the two steps, so a lost bulk message still occupies the wire.
+        """
         self.n_messages += 1
         spec = self.spec
         if eager_hint or spec.bandwidth == float("inf") or nbytes <= spec.eager_threshold:
             # Eager lane: latency + own serialization, no queueing behind
             # bulk.  Infinite-bandwidth links cannot serialize, so all their
             # traffic is eager by construction.
-            arrival = self.eager_arrival(nbytes)
             self.eager_bytes += nbytes
             if eager_hint:
                 self.n_eager_hinted += 1
                 self.hinted_bytes += nbytes
-        else:
-            # Bulk lane: wait for the lane, then serialize.
-            start = max(self._kernel.now, self._bulk_free_at)
-            self._bulk_free_at = start + nbytes / spec.bandwidth
-            arrival = self._bulk_free_at + spec.latency
-            self.bulk_bytes += nbytes
+            return self.eager_arrival(nbytes), True
+        # Bulk lane: wait for the lane, then serialize.
+        start = max(self._kernel.now, self._bulk_free_at)
+        self._bulk_free_at = start + nbytes / spec.bandwidth
+        self.bulk_bytes += nbytes
+        return self._bulk_free_at + spec.latency, False
+
+    def _deliver(self, arrival: float, on_delivered) -> None:
+        """Queue ``on_delivered`` for ``arrival``: the first entry of an
+        instant schedules the one kernel event that drains it."""
         pending = self._pending.get(arrival)
         if pending is None:
             self._pending[arrival] = [on_delivered]
             self._kernel.call_at(arrival, self._drain)
         else:
             pending.append(on_delivered)
-        return arrival
 
     def eager_arrival(self, nbytes: float) -> float:
         """Instant an ``nbytes`` message sent now on the eager lane arrives.
 
-        The eager branch of :meth:`transmit` uses exactly this expression,
+        The eager branch of :meth:`_depart` uses exactly this expression,
         and so does the transaction protocol when it charges an
         announcement without sending it
         (:func:`~repro.comm.transactions.send_transaction`): the modelled

@@ -1,16 +1,18 @@
 """Typed message payloads exchanged by the inference engines.
 
 Every payload carries an explicit ``nbytes`` — the modeled serialized size
-used for link timing — computed by the sender from the model's cost
-descriptor (activation width, vocabulary size).  The simulation passes the
-Python object through unserialized.
+used for link timing.  Decode payloads compute theirs from the model's
+cost descriptor (activation width, vocabulary size); the fixed-size
+control payloads (:class:`CacheOp`, :class:`CancelMsg`,
+:class:`ShutdownMsg`) define theirs once, as a class constant.  The
+simulation passes the Python object through unserialized.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, ClassVar, List, Optional
 
 
 @dataclass
@@ -140,6 +142,10 @@ class CacheOpKind(enum.IntEnum):
     SEQ_BROADCAST = 3
 
 
+#: Open end bound ``p1`` of whole-sequence cache ops.
+SEQ_END = 1 << 40
+
+
 @dataclass
 class CacheOp:
     """A pipelined cache operation command (Section IV-C3).
@@ -154,8 +160,9 @@ class CacheOp:
     seq_dst: int
     p0: int
     p1: int
-    nbytes: float = 32.0
     targets: tuple = ()
+    #: Wire size of one command; a batch of ``n`` costs ``n * nbytes``.
+    nbytes: ClassVar[float] = 32.0
 
 
 @dataclass
@@ -163,11 +170,11 @@ class CancelMsg:
     """Early-inference-cancellation signal: just the run identifier."""
 
     run_id: int
-    nbytes: float = 16.0
+    nbytes: ClassVar[float] = 16.0
 
 
 @dataclass
 class ShutdownMsg:
     """End-of-generation control message."""
 
-    nbytes: float = 8.0
+    nbytes: ClassVar[float] = 8.0

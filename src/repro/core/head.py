@@ -38,11 +38,11 @@ from repro.comm.payloads import (
     Activations,
     CacheOp,
     CacheOpKind,
-    CancelMsg,
     DecodeMeta,
     FusedRun,
     TokenSlot,
 )
+from repro.comm.transactions import send_cancel, send_decode, send_fused
 from repro.core.continuous import CutoffController
 from repro.core.multibuffer import MultibufferManager
 from repro.core.run_state import RequestContext, RunFIFO, RunKind, RunRecord
@@ -90,22 +90,37 @@ def new_request_context(
 
 
 def build_run_payload(
-    rec: RunRecord, states, want_all_logits: bool = True
+    be, rec: RunRecord, states, want_all_logits: bool = True
 ) -> Tuple[DecodeMeta, Activations]:
     """The (meta, activations) pieces of one run's decode transaction.
 
     ``want_all_logits`` is True for verification runs (every slot's logits
     feed the verify walk) and False for prefill, where only the last
-    prompt slot's logits are sampled.
+    prompt slot's logits are sampled.  The meta's wire size comes from
+    the backend ``be``'s cost descriptor.
+
+    A tree run's first slot is the tip, whose cell is written after the
+    branch copies, so it joins the run's sequence and every branch; each
+    tree node belongs to the branches of every leaf beneath it, so
+    attending within one branch sees exactly its ancestors.
     """
     start = rec.start_pos
-    seqs = (rec.seq_id,)
-    last = len(rec.tokens) - 1
-    slots = [
-        TokenSlot(tok, start + i, seqs, want_all_logits or i == last)
-        for i, tok in enumerate(rec.tokens)
-    ]
-    meta = DecodeMeta(rec.run_id, slots, rec.is_speculative, oracle_states=states)
+    tree = rec.tree
+    if tree is None:
+        seqs = (rec.seq_id,)
+        last = len(rec.tokens) - 1
+        slots = [
+            TokenSlot(tok, start + i, seqs, want_all_logits or i == last)
+            for i, tok in enumerate(rec.tokens)
+        ]
+    else:
+        branches = rec.branch_seqs
+        slots = [TokenSlot(rec.tokens[0], start, (rec.seq_id, *branches), True)]
+        for node, seqs in zip(tree.nodes, assign_tree_seqs(tree, branches)):
+            slots.append(TokenSlot(node.token, node.pos, tuple(sorted(seqs)), True))
+    meta = DecodeMeta(
+        rec.run_id, slots, rec.is_speculative, be.meta_nbytes(len(slots)), states
+    )
     nbytes = TOKEN_ACTIVATION_BYTES_PER_TOKEN * len(rec.tokens)
     return meta, Activations(rec.run_id, nbytes=nbytes, hidden=None)
 
@@ -164,10 +179,10 @@ def dispatch_prefill(engine, ctx: RequestContext, start_pos: int = 0) -> RunReco
         start_pos,
         ctx.kv.canonical,
     )
-    states = engine.backend.slot_states(ctx.chain, start_pos, len(rec.tokens))
-    # send_decode stamps meta.nbytes from the backend's cost descriptor.
-    meta, act = build_run_payload(rec, states, want_all_logits=False)
-    engine.send_decode(engine.target_ranks()[0], meta, act)
+    be = engine.backend
+    states = be.slot_states(ctx.chain, start_pos, len(rec.tokens))
+    meta, act = build_run_payload(be, rec, states, want_all_logits=False)
+    send_decode(engine.ep(), engine.target_ranks()[0], meta, act)
     track_dispatch(ctx, rec)
     return rec
 
@@ -214,7 +229,7 @@ def send_cancels(engine, run_ids: Sequence[int]) -> None:
     ep = engine.ep()
     last_target = engine.target_ranks()[-1]
     for rid in run_ids:
-        ep.send(CancelMsg(rid), last_target, Tag.CANCEL, nbytes=16.0, eager=True)
+        send_cancel(ep, last_target, rid)
 
 
 def verify_run_logits(
@@ -437,23 +452,25 @@ def dispatch_burst(engine, entries) -> List[int]:
     the entry order, which MPI non-overtaking turns into the logits
     return order.
     """
-    cfg = engine.config
+    cap = engine.config.max_fused_runs
+    be = engine.backend
+    ep = engine.ep()
     first_target = engine.target_ranks()[0]
     rids: List[int] = []
     items: List = []
     n_runs = 0
     for ctx, rec, states, ops in entries:
-        if n_runs >= cfg.max_fused_runs:
-            engine.send_burst(first_target, items)
+        if n_runs >= cap:
+            send_fused(ep, first_target, items)
             items, n_runs = [], 0
         if ops:
             items.append(list(ops))
-        items.append(FusedRun(*build_run_payload(rec, states)))
+        items.append(FusedRun(*build_run_payload(be, rec, states)))
         n_runs += 1
         track_dispatch(ctx, rec)
         rids.append(ctx.req_id)
     if items:
-        engine.send_burst(first_target, items)
+        send_fused(ep, first_target, items)
     return rids
 
 
@@ -521,50 +538,39 @@ def start_tree_round(engine, ctx: RequestContext, per_token: float, on_complete)
     kernel.call_at(kernel.now + cost, drafted)
 
 
-def dispatch_tree(engine, ctx: RequestContext, tree, branch_seqs: Sequence[int]) -> None:
+def dispatch_tree(engine, ctx: RequestContext, tree, branch_seqs: Sequence[int]) -> List[int]:
     """Send the tip token and ``tree`` through the pipeline as one run.
 
     Each leaf's branch lives in its own pool partition (``branch_seqs``,
-    one per leaf); a node belongs to the branches of every leaf beneath
-    it, so attending within one branch sees exactly its ancestors.  The
-    run's cache ops copy the canonical prefix into every branch ahead of
-    it in the same burst.  The tip token's cell is written by this run,
-    after those copies, so its slot carries the canonical id and every
-    branch id.  The record starts at the tip with the tip token, so it
-    covers the tip until its logits return.
+    one per leaf); :func:`build_run_payload` gives every slot its branch
+    set.  The run's cache ops copy the canonical prefix into every branch
+    ahead of it in the same burst.  The record starts at the tip with the
+    tip token, so it covers the tip until its logits return.  Returns the
+    dispatched req ids, as :func:`dispatch_burst` does.
     """
-    be = engine.backend
     stats = ctx.metrics.stats
     tip = len(ctx.accepted) - 1
-    tip_token = ctx.accepted[tip]
     canonical = ctx.kv.canonical
     rec = RunRecord(
         engine.new_run_id(),
         RunKind.SPECULATIVE,
-        [tip_token] + [node.token for node in tree.nodes],
+        [ctx.accepted[tip]] + [node.token for node in tree.nodes],
         tip,
         canonical,
         tree=tree,
         branch_seqs=tuple(branch_seqs),
     )
-    slots = [TokenSlot(tip_token, tip, (canonical, *branch_seqs), True)]
-    for node, seqs in zip(tree.nodes, assign_tree_seqs(tree, branch_seqs)):
-        slots.append(TokenSlot(node.token, node.pos, tuple(sorted(seqs)), True))
     # The tip's state comes from the chain; an oracle tree node's cursor
     # is already the rolling state after its path.
-    states = be.slot_states(ctx.chain, tip, 1)
+    states = engine.backend.slot_states(ctx.chain, tip, 1)
     if states is not None:
         states.extend(node.cursor for node in tree.nodes)
-    meta = DecodeMeta(rec.run_id, slots, True, oracle_states=states)
-    act = Activations(
-        rec.run_id, nbytes=TOKEN_ACTIVATION_BYTES_PER_TOKEN * len(slots), hidden=None
-    )
     ops = [CacheOp(CacheOpKind.SEQ_CP, canonical, b, 0, tip + 1) for b in branch_seqs]
-    engine.send_burst(engine.target_ranks()[0], [ops, FusedRun(meta, act)])
-    track_dispatch(ctx, rec)
+    rids = dispatch_burst(engine, [(ctx, rec, states, ops)])
     ctx.n_spec_inflight += 1
     stats.speculative += 1
     stats.draft_tokens_proposed += len(tree)
+    return rids
 
 
 def tree_path_ops(rec: RunRecord, matched: Sequence[int], canonical: int) -> List:

@@ -31,12 +31,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.comm.payloads import CacheOp, CacheOpKind
+from repro.comm.payloads import SEQ_END, CacheOp, CacheOpKind
 from repro.core.run_state import RunRecord
 from repro.util.fifo import SequencePool
-
-#: Open end bound for whole-sequence removals.
-SEQ_END = 1 << 40
 
 #: Sentinel for "no partition holds unverified chain cells".  Pool ids
 #: start at 1, so 0 never names a speculative partition.

@@ -25,11 +25,9 @@ only later).
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-
-from repro.util.fifo import FifoQueue
+from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class RunKind(enum.Enum):
@@ -97,16 +95,16 @@ class RunFIFO:
     """FIFO of in-flight runs with invalidation scans."""
 
     def __init__(self) -> None:
-        self._q: FifoQueue[RunRecord] = FifoQueue()
+        self._q: Deque[RunRecord] = deque()
 
     def push(self, rec: RunRecord) -> None:
-        self._q.push(rec)
+        self._q.append(rec)
 
     def pop(self) -> RunRecord:
-        return self._q.pop()
+        return self._q.popleft()
 
     def peek(self) -> RunRecord:
-        return self._q.peek()
+        return self._q[0]
 
     def __len__(self) -> int:
         return len(self._q)

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.hardware import NodeSpec
-from repro.comm.payloads import CacheOp, CacheOpKind, DecodeMeta, TokenSlot
+from repro.comm.payloads import SEQ_END, CacheOp, CacheOpKind, DecodeMeta, TokenSlot
 from repro.models.cost import CostModel
 from repro.models.kv_cache import KVCache
 from repro.models.layers import ScratchArena
@@ -31,12 +31,25 @@ from repro.models.range_cache import RangeKVCache
 from repro.models.sampler import LogitsLike, batched_top1, softmax_probs
 from repro.models.transformer import TinyTransformer
 from repro.models.zoo import ModelPair
+from repro.spec.draft import DraftParams
 
 #: Modeled wire size of a cancelled/empty activation record.
 EMPTY_ACTIVATION_NBYTES = 16.0
 
-#: End bound for "remove the whole sequence" cache ops.
-SEQ_END = 1 << 40
+#: KV cells an oracle shard is charged for in node memory when the backend
+#: sets no cell budget (the Figure 7a footprint).
+UNBUDGETED_MEMORY_CELLS = 2048
+
+#: Context length the oracle backend's analytic cost model assumes.
+COST_CONTEXT = 640
+
+#: Layers per oracle compute chunk: the worker's cancellation probe
+#: granularity ("thread synchronization points", Section IV-D2).
+PROBE_CHUNK_LAYERS = 4
+
+#: The confidence cutoff the oracle pair's acceptance is calibrated at:
+#: the default draft cutoff.
+CALIBRATION_CUTOFF = DraftParams().cutoff
 
 
 class ChainState:
@@ -329,11 +342,11 @@ class Backend(ABC):
         self,
         layer_range: Optional[Tuple[int, int]],
         hosts_draft: bool,
-        n_cells: int,
         first: bool = False,
         last: bool = False,
     ) -> float:
-        """Modeled resident bytes for a node with the given roles."""
+        """Modeled resident bytes for a node with the given roles, its KV
+        shard sized as the worker shards are."""
 
     # -- oracle plumbing -------------------------------------------------------------
 
@@ -652,7 +665,7 @@ class FunctionalBackend(Backend):
     def logits_nbytes(self, n_logits: int) -> float:
         return n_logits * self.vocab * 4.0
 
-    def node_memory(self, layer_range, hosts_draft, n_cells, first=False, last=False) -> float:
+    def node_memory(self, layer_range, hosts_draft, first=False, last=False) -> float:
         cfg = self.target.cfg
         per_layer = 4.0 * (2 * cfg.d_model * cfg.d_model + 3 * cfg.d_model * cfg.d_ff)
         total = 0.0
@@ -663,7 +676,7 @@ class FunctionalBackend(Backend):
             total += dcfg.n_layers * 4.0 * (
                 2 * dcfg.d_model * dcfg.d_model + 3 * dcfg.d_model * dcfg.d_ff
             )
-        return total + n_cells * cfg.kv_dim * 8.0
+        return total + self.n_cells * cfg.kv_dim * 8.0
 
 
 # ---------------------------------------------------------------------------
@@ -681,10 +694,7 @@ class OracleBackend(Backend):
         pair: ModelPair,
         head_node: NodeSpec,
         seed: int = 0,
-        context: int = 640,
-        probe_chunk_layers: int = 4,
         acceptance_override: Optional[float] = None,
-        base_cutoff: float = 0.30,
         n_cells: Optional[int] = None,
     ) -> None:
         self.pair = pair
@@ -693,19 +703,18 @@ class OracleBackend(Backend):
         #: lets oracle-mode serving model real cache pressure; None keeps
         #: the historical unbounded behaviour.
         self.n_cells = n_cells
-        self.target_cost = CostModel(pair.target_arch, context=context)
-        self.draft_cost = CostModel(pair.draft_arch, context=context)
+        self.target_cost = CostModel(pair.target_arch, context=COST_CONTEXT)
+        self.draft_cost = CostModel(pair.draft_arch, context=COST_CONTEXT)
         self.vocab = pair.target_arch.vocab
         self.n_target_layers = pair.target_arch.n_layers
         self.head_node = head_node
-        self.probe_chunk_layers = probe_chunk_layers
         acceptance = (
             pair.acceptance if acceptance_override is None else acceptance_override
         )
         # Calibrate raw agreement so acceptance *measured over tokens that
         # pass the default confidence cutoff* matches the paper's rate.
         self.oracle, self.draft_oracle = make_aligned_pair(
-            acceptance, seed=seed, vocab=self.vocab, cutoff=base_cutoff
+            acceptance, seed=seed, vocab=self.vocab, cutoff=CALIBRATION_CUTOFF
         )
         self._draft_pass_time = self.draft_cost.full_model_time(head_node, 1)
 
@@ -812,7 +821,7 @@ class OracleBackend(Backend):
     def stage_chunks(self, node, layer_range, n_tokens):
         lo, hi = layer_range
         return self.target_cost.chunked_stage_times(
-            node, hi - lo, n_tokens, self.probe_chunk_layers
+            node, hi - lo, n_tokens, PROBE_CHUNK_LAYERS
         )
 
     def logits_time(self, node, n_logits):
@@ -826,7 +835,8 @@ class OracleBackend(Backend):
     def logits_nbytes(self, n_logits: int) -> float:
         return self.target_cost.logits_bytes(n_logits)
 
-    def node_memory(self, layer_range, hosts_draft, n_cells, first=False, last=False) -> float:
+    def node_memory(self, layer_range, hosts_draft, first=False, last=False) -> float:
+        n_cells = UNBUDGETED_MEMORY_CELLS if self.n_cells is None else self.n_cells
         total = 512e6  # runtime buffers, scratch, code
         arch = self.pair.target_arch
         if layer_range is not None:

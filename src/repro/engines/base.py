@@ -1,4 +1,4 @@
-"""Shared engine machinery: configuration, wiring, dispatch helpers.
+"""Shared engine machinery: configuration and wiring.
 
 An *engine* is one inference strategy.  Every engine runs every target
 stage in the pipeline worker (:mod:`repro.engines.worker`) and is served
@@ -6,7 +6,9 @@ by the one head loop (:func:`repro.serve.head.serving_head`), which holds
 no layers.  Engines differ in their rank layout and in their head
 policy: ``synchronous`` and :meth:`BaseEngine.hosts_draft`.  A
 :class:`BaseEngine` handles the common wiring: rank layout, layer
-partitioning, worker state, transaction dispatch, and shutdown.
+partitioning, worker state and node memory.  It sends nothing itself:
+the head sends each transaction kind through its one sender in
+:mod:`repro.comm.transactions`, the same sender the workers use.
 :func:`run_engine` runs one generation job as a one-request queue on a
 fresh :class:`~repro.serve.cluster.Replica` and returns an
 :class:`EngineReport`.
@@ -16,28 +18,17 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.kernel import SimKernel
 from repro.cluster.topology import Cluster
 from repro.comm.mpi_sim import Endpoint, Network
-from repro.comm.payloads import (
-    Activations,
-    CacheOp,
-    DecodeMeta,
-    FusedBatch,
-    FusedRun,
-    ShutdownMsg,
-)
-from repro.comm.transactions import TransactionType, send_transaction
 from repro.engines.backend import Backend
+from repro.engines.worker import DEFAULT_MAX_FUSED_RUNS, pipeline_worker
 from repro.metrics.collectors import MetricsCollector, RunStats
 from repro.metrics.report import EngineReport
 from repro.pipeline.partition import partition_for
 from repro.spec.draft import DraftParams
-
-#: Wire size of a cache-op command.
-CACHE_OP_NBYTES = 32.0
 
 
 @dataclass(frozen=True)
@@ -69,11 +60,9 @@ class EngineConfig:
     #: Figure 8 ablation switches.
     enable_cancellation: bool = True
     enable_continuous: bool = True
-    #: KV cells per worker shard (functional mode sizing).
-    n_cells: int = 2048
     #: Cap on decode runs a pipeline stage fuses into one cross-run batch
     #: (1 disables multi-run batching; ablation / differential testing).
-    max_fused_runs: int = 8
+    max_fused_runs: int = DEFAULT_MAX_FUSED_RUNS
     #: Cap on request chains the serving head drafts per batched draft
     #: round (1 restores sequential one-request-at-a-time drafting; the
     #: differential suite pins both to identical served tokens).
@@ -112,8 +101,6 @@ class EngineConfig:
             raise ValueError(
                 f"cutoff_decay must be non-negative, got {self.cutoff_decay}"
             )
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be positive, got {self.n_cells}")
         if self.max_fused_runs < 1:
             raise ValueError(
                 f"max_fused_runs must be positive, got {self.max_fused_runs}"
@@ -237,8 +224,6 @@ class BaseEngine:
 
     def _spawn_worker_proc(self, kernel: SimKernel, i: int, rank: int, ws):
         """Spawn one pipeline-worker process for stage index ``i``."""
-        from repro.engines.worker import pipeline_worker  # cycle avoidance
-
         ranks = self.target_ranks()
         upstream = ranks[i - 1] if i > 0 else self.head_rank()
         downstream = ranks[i + 1] if i + 1 < len(ranks) else None
@@ -307,13 +292,10 @@ class BaseEngine:
                 first, last = i == 0, i == len(ranks) - 1
             hosts_draft = rank == self.head_rank() and self.hosts_draft()
             self.metrics.set_node_memory(
-                rank,
-                self.backend.node_memory(
-                    layer_range, hosts_draft, self.config.n_cells, first, last
-                ),
+                rank, self.backend.node_memory(layer_range, hosts_draft, first, last)
             )
 
-    # -- dispatch helpers -----------------------------------------------------------
+    # -- head helpers -----------------------------------------------------------
 
     def new_run_id(self) -> int:
         self._next_run_id += 1
@@ -349,69 +331,6 @@ class BaseEngine:
         """
         self._cancel_requests.append(req_id)
         self.ep()._notify_watchers()
-
-    def send_decode(
-        self, dest: int, meta: DecodeMeta, act: Activations
-    ) -> None:
-        meta.nbytes = self.backend.meta_nbytes(meta.n_tokens)
-        send_transaction(
-            self.ep(),
-            dest,
-            TransactionType.DECODE,
-            [(meta, meta.nbytes), (act, act.nbytes)],
-        )
-
-    def send_burst(self, dest: int, items: Sequence) -> None:
-        """Send one FUSED transaction coalescing several runs' dispatches.
-
-        ``items`` is an ordered window of :class:`FusedRun` entries and
-        plain ``List[CacheOp]`` batches — the same wire shape workers
-        forward between stages — so a burst of a whole dispatch round
-        reaches the first stage as a single transaction: its fusion
-        window sees every run at once instead of one run per head-loop
-        iteration.  Meta sizes are stamped here like :meth:`send_decode`.
-        The batch takes ``items`` by reference; callers start a new list.
-        """
-        if not items:
-            return
-        nbytes = 0.0
-        for item in items:
-            if isinstance(item, FusedRun):
-                item.meta.nbytes = self.backend.meta_nbytes(item.meta.n_tokens)
-                nbytes += item.meta.nbytes + item.act.nbytes
-            else:
-                nbytes += CACHE_OP_NBYTES * len(item)
-        send_transaction(
-            self.ep(), dest, TransactionType.FUSED,
-            [(FusedBatch(items, nbytes), nbytes)],
-        )
-
-    def send_cache_ops(self, dest: int, ops: Sequence[CacheOp]) -> None:
-        """Send one CACHE_OP transaction carrying a batch of commands.
-
-        The batch travels as a single piece so the receiving handler
-        consumes exactly one message per transaction regardless of the
-        command count.
-        """
-        if not ops:
-            return
-        batch = list(ops)
-        send_transaction(
-            self.ep(),
-            dest,
-            TransactionType.CACHE_OP,
-            [(batch, CACHE_OP_NBYTES * len(batch))],
-            eager=True,
-        )
-
-    def send_shutdown(self, dest: int) -> None:
-        send_transaction(
-            self.ep(), dest, TransactionType.SHUTDOWN, [(ShutdownMsg(), 8.0)], eager=True
-        )
-
-    def shutdown_pipeline(self) -> None:
-        """Relay the shutdown transaction through the worker chain."""
-        self.send_shutdown(self.target_ranks()[0])
 
 
 def run_engine(

@@ -35,6 +35,11 @@ single FUSED transaction that preserves the original dispatch order.
 Cancellation stays live inside a window: a cancel that lands between
 compute chunks removes the run from the fused computation, and its empty
 record still goes out in its original slot.
+
+A worker builds and sizes nothing on the wire itself: the forwarded
+window, the relayed cancel and the relayed shutdown go through the same
+senders the head uses (:func:`~repro.comm.transactions.send_fused`,
+``send_cancel``, ``send_shutdown``).
 """
 
 from __future__ import annotations
@@ -44,14 +49,14 @@ from typing import Generator, List, Optional, Set
 from repro.cluster.hardware import NodeSpec
 from repro.comm.message import ANY_SOURCE, Tag
 from repro.comm.mpi_sim import Network
-from repro.comm.payloads import (
-    Activations,
-    FusedBatch,
-    FusedRun,
-    LogitsPayload,
-    ShutdownMsg,
+from repro.comm.payloads import Activations, FusedBatch, FusedRun, LogitsPayload
+from repro.comm.transactions import (
+    TransactionType,
+    recv_piece,
+    send_cancel,
+    send_fused,
+    send_shutdown,
 )
-from repro.comm.transactions import TransactionType, recv_piece, send_transaction
 from repro.engines.backend import (
     Backend,
     EMPTY_ACTIVATION_NBYTES,
@@ -119,9 +124,7 @@ def pipeline_worker(
         # Back-propagate toward earlier stages (IV-D2).  The first target
         # stage's upstream is the head, which originated the signal.
         if upstream != head_rank:
-            ep.send(
-                CancelForward(run_id), upstream, Tag.CANCEL, nbytes=16.0, eager=True
-            )
+            send_cancel(ep, upstream, run_id)
 
     def drain_cancels() -> None:
         # Runs at every sync point; nearly all find no cancel waiting.
@@ -248,10 +251,7 @@ def _worker_loop(
                 gate_box[0] = (gate, False)
                 yield gate
             if downstream is not None:
-                send_transaction(
-                    ep, downstream, TransactionType.SHUTDOWN,
-                    [(ShutdownMsg(), 8.0)], eager=True,
-                )
+                send_shutdown(ep, downstream)
             return
 
 
@@ -322,7 +322,6 @@ def _schedule_window(
         elif downstream is not None:
             outs = window_state[0]
             out_items: List = []
-            nbytes = 0.0
             oi = 0
             for it in items:
                 if isinstance(it, StageRun):
@@ -338,15 +337,10 @@ def _schedule_window(
                             outs[oi],
                         )
                     out_items.append(FusedRun(it.meta, out))
-                    nbytes += it.meta.nbytes + out.nbytes
                     oi += 1
                 else:
                     out_items.append(it)
-                    nbytes += 32.0 * len(it)
-            send_transaction(
-                ep, downstream, TransactionType.FUSED,
-                [(FusedBatch(out_items, nbytes), nbytes)],
-            )
+            send_fused(ep, downstream, out_items)
         # One metrics call per window: busy seconds accumulated across
         # chunk and logits delays instead of per-delay calls.
         if busy_acc:
@@ -453,13 +447,3 @@ def _schedule_window(
         return
 
     finish(0.0)
-
-
-class CancelForward:
-    """Cancellation signal payload relayed between workers."""
-
-    __slots__ = ("run_id", "nbytes")
-
-    def __init__(self, run_id: int) -> None:
-        self.run_id = run_id
-        self.nbytes = 16.0

@@ -1,12 +1,13 @@
 """Fault injection: faulty links and the injector orchestrating a plan.
 
 :class:`FaultyLink` replaces :class:`~repro.cluster.interconnect.Link` on
-pairs a plan targets: the timing model is identical, but each transmission
-additionally draws (deterministically, from the plan seed and a per-link
-transmission counter) whether it is lost, how much jitter it suffers, and
-whether an outage window swallows it.  A dropped bulk message still
-occupies the wire — loss happens past the sender's serializer — but its
-delivery callback never fires.
+pairs a plan targets and adds only faults: it runs Link's departure (lane
+choice, lane statistics, bulk-lane advance) and Link's coalesced delivery,
+and between the two draws (deterministically, from the plan seed and a
+per-link transmission counter) whether an outage window swallows the
+message, whether it is lost, and how much jitter it suffers.  A dropped
+bulk message still occupies the wire — loss happens past the sender's
+serializer — but its delivery callback never fires.
 
 :class:`FaultInjector` wires a :class:`~repro.faults.plan.FaultPlan` into a
 fresh simulation: the link factory, the ack/retransmit reliability layer
@@ -57,27 +58,11 @@ class FaultyLink(Link):
         self.n_lost = 0
 
     def transmit(self, nbytes: float, on_delivered, eager_hint: bool = False) -> float:
-        # Timing replicates Link.transmit exactly: a lost bulk message has
-        # already crossed the sender's serializer, so it occupies the wire
-        # (advances the bulk lane) even though it never arrives.
+        # Departure is Link's: a lost bulk message has already crossed the
+        # sender's serializer, so it occupies the wire (advances the bulk
+        # lane) even though it never arrives.
         now = self._kernel.now
-        self.n_messages += 1
-        spec = self.spec
-        eager = (
-            eager_hint or spec.bandwidth == float("inf") or nbytes <= spec.eager_threshold
-        )
-        if eager:
-            arrival = self.eager_arrival(nbytes)
-            self.eager_bytes += nbytes
-            if eager_hint:
-                self.n_eager_hinted += 1
-                self.hinted_bytes += nbytes
-        else:
-            start = max(now, self._bulk_free_at)
-            self._bulk_free_at = start + nbytes / spec.bandwidth
-            arrival = self._bulk_free_at + spec.latency
-            self.bulk_bytes += nbytes
-
+        arrival, eager = self._depart(nbytes, eager_hint)
         self._n_tx += 1
         key = (self._src, self._dst, self._n_tx)
         extra = 0.0
@@ -97,14 +82,8 @@ class FaultyLink(Link):
                 extra += f.jitter * unit_float(
                     hash_tokens(self._seed, key, salt=_JITTER_SALT)
                 )
-
         arrival += extra
-        pending = self._pending.get(arrival)
-        if pending is None:
-            self._pending[arrival] = [on_delivered]
-            self._kernel.call_at(arrival, self._drain)
-        else:
-            pending.append(on_delivered)
+        self._deliver(arrival, on_delivered)
         return arrival
 
 

@@ -41,7 +41,8 @@ from collections import deque
 from typing import Deque, Dict, Generator, List
 
 from repro.comm.message import Tag
-from repro.comm.payloads import CacheOp, CacheOpKind
+from repro.comm.payloads import SEQ_END, CacheOp, CacheOpKind
+from repro.comm.transactions import send_cache_ops, send_shutdown
 from repro.core.head import (
     canonical_entry,
     dispatch_burst,
@@ -58,7 +59,7 @@ from repro.core.head import (
     verify_run_logits,
 )
 from repro.cache.prefix import PrefixCacheManager, PrefixMatch
-from repro.core.multibuffer import SEQ_END, CellBudget, acquire_canonical
+from repro.core.multibuffer import CellBudget, acquire_canonical
 from repro.core.run_state import RequestContext, RunKind
 # Not called here: bench/tests/test_bench_tracer.py checks through this
 # name that the tracer patches a function in every module importing it.
@@ -160,7 +161,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
             return False
         ok, ops = cache.ops_for_pool_seq()
         if ops:
-            engine.send_cache_ops(first_target, ops)
+            send_cache_ops(ep, first_target, ops)
         budget.retained = cache.retained_cells
         return ok
 
@@ -192,7 +193,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
             if not got:
                 break
             budget.retained = cache.retained_cells
-            engine.send_cache_ops(first_target, ops)
+            send_cache_ops(ep, first_target, ops)
         return budget.fits(demand) or not active
 
     def admit_ready() -> None:
@@ -255,7 +256,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
                 [(m, ctx.kv.canonical) for ctx, m in admitted if m]
             )
             if ops:
-                engine.send_cache_ops(first_target, ops)
+                send_cache_ops(ep, first_target, ops)
         for ctx, match in admitted:
             dispatch_prefill(engine, ctx, start_pos=match.length)
             order.append(ctx.req_id)
@@ -293,7 +294,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
             cache.release(ctx.req_id)
             budget.retained = cache.retained_cells
         ops += ctx.kv.ops_for_request_release()
-        engine.send_cache_ops(first_target, ops)
+        send_cache_ops(ep, first_target, ops)
         ctx.kv.release_canonical()
         engine.backend.release_chain(ctx.chain)
         ctx.finished_at = kernel.now
@@ -388,7 +389,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
             if ctx.done:
                 # Budget already met; the flush drained everything.
                 if ops:
-                    engine.send_cache_ops(first_target, ops)
+                    send_cache_ops(ep, first_target, ops)
                 finalize(ctx)
                 continue
             # Wipe the canonical partition on every stage, then rebuild it
@@ -402,7 +403,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
                 if match:
                     ops += cache.ops_for_materialize([(match, ctx.kv.canonical)])
                     start = match.length
-            engine.send_cache_ops(first_target, ops)
+            send_cache_ops(ep, first_target, ops)
             ctx.prefilled = False
             dispatch_prefill(engine, ctx, start_pos=start)
             order.append(ctx.req_id)
@@ -487,8 +488,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
         while len(branches) < n_leaves and ensure_pool_seq():
             branches.append(ctx.kv.allocate())
         if branches and len(branches) == n_leaves:
-            dispatch_tree(engine, ctx, tree, branches)
-            order.append(ctx.req_id)
+            order.extend(dispatch_tree(engine, ctx, tree, branches))
         else:
             for b in branches:
                 pool.release(b)
@@ -602,7 +602,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
                         # land after this request's run-release ops: flush
                         # first.
                         if pending_ops:
-                            engine.send_cache_ops(first_target, pending_ops)
+                            send_cache_ops(ep, first_target, pending_ops)
                             pending_ops = []
                         finalize(ctx)
                 if cum:
@@ -616,7 +616,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
                         pending_cancels=pending_cancels,
                     ) -> None:
                         if pending_ops:
-                            engine.send_cache_ops(first_target, pending_ops)
+                            send_cache_ops(ep, first_target, pending_ops)
                         if pending_cancels:
                             send_cancels(engine, pending_cancels)
                         step()
@@ -624,7 +624,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
                     kernel.call_after(cum, after_sample)
                     return
                 if pending_ops:
-                    engine.send_cache_ops(first_target, pending_ops)
+                    send_cache_ops(ep, first_target, pending_ops)
                 if pending_cancels:
                     send_cancels(engine, pending_cancels)
                 continue
@@ -707,7 +707,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
             cache.stats_dict() if cache is not None else {}
         )
         engine.metrics.mark_finish(kernel.now)
-        engine.shutdown_pipeline()
+        send_shutdown(ep, first_target)
         done.resolve(None)
 
     step()

@@ -1,11 +1,10 @@
-"""Shared utilities: deterministic hashing, FIFO pools, unit conversions."""
+"""Shared utilities: deterministic hashing, the sequence pool, unit conversions."""
 
-from repro.util.fifo import FifoQueue, SequencePool
+from repro.util.fifo import SequencePool
 from repro.util.rng import splitmix64, hash_tokens, unit_float
 from repro.util.units import GB, GiB, MB, KiB, Gbps, us, ms
 
 __all__ = [
-    "FifoQueue",
     "SequencePool",
     "splitmix64",
     "hash_tokens",

@@ -1,69 +1,15 @@
-"""FIFO primitives used throughout PipeInfer's run tracking and KV partitioning.
+"""The FIFO sequence pool behind PipeInfer's KV partitioning.
 
-The paper allocates KV-cache sequence ranges and tracks in-flight inference
-runs with FIFO discipline (Section IV-A1, IV-C).  These containers are small
-wrappers over :class:`collections.deque` that add the handful of invariants
-the engine relies on (uniqueness in the sequence pool, peek semantics).
+The paper allocates KV-cache sequence ranges with FIFO discipline
+(Section IV-C).  :class:`SequencePool` wraps a :class:`collections.deque`
+with the invariants the engine relies on (no double free, the canonical
+sequence never pooled).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterable, Iterator, TypeVar
-
-T = TypeVar("T")
-
-
-class FifoQueue(Generic[T]):
-    """A first-in first-out queue with peek, used for run tracking.
-
-    PipeInfer places a record in a FIFO when a pipeline run starts and pops
-    it when the run's logits arrive; MPI non-overtaking guarantees arrival
-    order matches dispatch order, so a plain FIFO suffices.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: Iterable[T] = ()) -> None:
-        self._items: Deque[T] = deque(items)
-
-    def push(self, item: T) -> None:
-        """Append ``item`` to the tail of the queue."""
-        self._items.append(item)
-
-    def pop(self) -> T:
-        """Remove and return the head of the queue.
-
-        Raises:
-            IndexError: if the queue is empty.
-        """
-        return self._items.popleft()
-
-    def peek(self) -> T:
-        """Return the head of the queue without removing it."""
-        return self._items[0]
-
-    def remove(self, item: T) -> None:
-        """Remove the first occurrence of ``item`` (identity-agnostic)."""
-        self._items.remove(item)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator[T]:
-        return iter(self._items)
-
-    def __contains__(self, item: object) -> bool:
-        return item in self._items
-
-    def clear(self) -> None:
-        self._items.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FifoQueue({list(self._items)!r})"
+from typing import Deque
 
 
 class SequencePool:

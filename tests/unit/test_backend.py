@@ -3,7 +3,12 @@
 import pytest
 
 from repro.cluster.testbed import cluster_c
-from repro.engines.backend import ChainState, FunctionalBackend, OracleBackend
+from repro.engines.backend import (
+    UNBUDGETED_MEMORY_CELLS,
+    ChainState,
+    FunctionalBackend,
+    OracleBackend,
+)
 from repro.models.oracle import OracleLM
 from repro.models.zoo import get_pair
 
@@ -117,10 +122,21 @@ class TestOracleBackend:
         assert backend.logits_nbytes(3) == 3 * arch.vocab * 4.0
 
     def test_memory_roles(self, backend):
-        draft_only = backend.node_memory(None, hosts_draft=True, n_cells=512)
-        shard = backend.node_memory((0, 40), hosts_draft=False, n_cells=512)
-        both = backend.node_memory((0, 40), hosts_draft=True, n_cells=512)
+        draft_only = backend.node_memory(None, hosts_draft=True)
+        shard = backend.node_memory((0, 40), hosts_draft=False)
+        both = backend.node_memory((0, 40), hosts_draft=True)
         assert both > shard > draft_only
+
+    def test_memory_counts_the_cell_budget(self, backend):
+        """An unbudgeted shard is charged for UNBUDGETED_MEMORY_CELLS cells;
+        a budgeted one for its budget."""
+        budgeted = OracleBackend(
+            backend.pair, head_node=backend.head_node, n_cells=UNBUDGETED_MEMORY_CELLS // 2
+        )
+        full = backend.node_memory((0, 40), hosts_draft=False)
+        half = budgeted.node_memory((0, 40), hosts_draft=False)
+        kv = backend.target_cost.kv_bytes(40, UNBUDGETED_MEMORY_CELLS)
+        assert full - half == pytest.approx(kv / 2)
 
     def test_acceptance_override(self):
         cluster = cluster_c(2)
@@ -141,6 +157,14 @@ class TestFunctionalBackend:
                                                   n_heads=4, n_kv_heads=2, d_ff=48))
         with pytest.raises(ValueError):
             FunctionalBackend(tiny_target, other)
+
+    def test_memory_counts_the_cells_a_shard_holds(self, tiny_target, tiny_draft):
+        small = FunctionalBackend(tiny_target, tiny_draft, n_cells=256)
+        large = FunctionalBackend(tiny_target, tiny_draft, n_cells=512)
+        ws = small.make_worker_state(1, (0, 2), True, True)
+        assert ws.cache.n_cells == 256
+        extra = large.node_memory((0, 2), False) - small.node_memory((0, 2), False)
+        assert extra == 256 * tiny_target.cfg.kv_dim * 8.0
 
     def test_propose_returns_probability(self, functional_backend):
         tok, conf = functional_backend.propose(functional_backend.new_chain([1, 2]))

@@ -47,11 +47,6 @@ def test_rejects_negative_cutoff_factors():
         EngineConfig(cutoff_decay=-0.5)
 
 
-def test_rejects_bad_cells():
-    with pytest.raises(ValueError, match="n_cells"):
-        EngineConfig(n_cells=0)
-
-
 def test_ablated_validates_too():
     """ablated() rebuilds the dataclass, so invalid copies are rejected."""
     with pytest.raises(ValueError, match="microbatch_size"):

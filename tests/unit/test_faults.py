@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.interconnect import LinkSpec
+from repro.cluster.interconnect import Link, LinkSpec
 from repro.cluster.kernel import SimKernel
 from repro.faults import (
     CrashSpec,
@@ -169,6 +169,55 @@ def test_jittered_equal_arrivals_share_one_pending_slot():
     link._pending.setdefault(arrival, []).append(lambda: hits.append(1))
     k.run()
     assert hits == [0, 1]  # one drain delivered both, transmit order kept
+
+
+def _replay(make_link, spec):
+    """A mixed send sequence over one link: (arrivals, counters, deliveries)."""
+    k = SimKernel()
+    link = make_link(k, spec)
+    seen = []
+    arrivals = []
+
+    def send(i, nbytes, hint=False):
+        arrivals.append(link.transmit(nbytes, lambda: seen.append((i, k.now)), hint))
+
+    sends = [
+        (0.0, 50_000_000, False),  # bulk: 0.4 s on the wire
+        (0.0, 50_000_000, False),  # bulk, queued behind the first
+        (0.0, 8, False),           # eager by size, overtakes both
+        (0.0, 8, False),           # same instant: shares the delivery event
+        (0.0, 50_000, True),       # hinted past the threshold
+        (0.5, 50_000_000, False),  # bulk, queued behind the second
+        (0.5, 8, True),            # hinted control message
+        (3.0, 40_000, False),      # bulk on an idle lane
+    ]
+    for i, (at, nbytes, hint) in enumerate(sends):
+        k.call_at(at, lambda i=i, n=nbytes, h=hint: send(i, n, h))
+    k.run()
+    counters = (
+        link.bulk_bytes, link.eager_bytes, link.hinted_bytes, link.n_messages,
+        link.n_eager_hinted, link.n_delivery_events, link.busy_until,
+    )
+    return arrivals, counters, seen
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SPEC, LinkSpec("inf", latency=5e-6, bandwidth=float("inf"), eager_threshold=10)],
+    ids=["finite", "infinite-bandwidth"],
+)
+def test_faulty_link_outside_its_windows_matches_link(spec):
+    """Faults whose windows are closed add nothing: same arrivals, lane
+    counters, delivery events and callback order as a plain Link."""
+    faults = (
+        LinkFault(0, 1, loss_rate=0.9, jitter=0.01, start=0.1, end=0.4),
+        LinkFault(0, 1, outage=True, outage_all_lanes=True, start=4.0, end=9.0),
+    )
+    plain = _replay(Link, spec)
+    faulty = _replay(lambda k, s: FaultyLink(k, s, faults, 7, 0, 1), spec)
+    assert faulty == plain
+    arrivals, _, seen = plain
+    assert [i for i, _ in seen] == sorted(range(8), key=lambda i: (arrivals[i], i))
 
 
 # -- injector hooks ----------------------------------------------------------

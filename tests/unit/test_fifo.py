@@ -1,41 +1,8 @@
-"""FIFO queue and sequence-pool invariants."""
+"""Sequence-pool invariants."""
 
 import pytest
 
-from repro.util.fifo import FifoQueue, SequencePool
-
-
-class TestFifoQueue:
-    def test_fifo_order(self):
-        q = FifoQueue()
-        for x in (1, 2, 3):
-            q.push(x)
-        assert [q.pop(), q.pop(), q.pop()] == [1, 2, 3]
-
-    def test_peek_does_not_remove(self):
-        q = FifoQueue([7])
-        assert q.peek() == 7
-        assert len(q) == 1
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            FifoQueue().pop()
-
-    def test_contains_and_iter(self):
-        q = FifoQueue(["a", "b"])
-        assert "a" in q and "c" not in q
-        assert list(q) == ["a", "b"]
-
-    def test_remove_first_occurrence(self):
-        q = FifoQueue([1, 2, 1])
-        q.remove(1)
-        assert list(q) == [2, 1]
-
-    def test_bool_and_clear(self):
-        q = FifoQueue([1])
-        assert q
-        q.clear()
-        assert not q
+from repro.util.fifo import SequencePool
 
 
 class TestSequencePool:
