@@ -26,12 +26,10 @@ instant and one link, callbacks fire in transmit order — the same order the
 per-message events fired in — so per-stream delivery order is unchanged.
 
 A pending entry is either an ``(endpoint, message)`` pair (network
-traffic) or a raw callback (reliability-layer acks, retransmits,
-benchmarks).  The drain groups maximal runs of message entries and hands
-each run to the destination endpoint in one
-:meth:`~repro.comm.mpi_sim.Endpoint._deliver_batch` call; raw callbacks
-interleave with those runs in transmit order, so nothing is reordered — a
-batch is flushed before any callback queued after it fires.
+traffic), handed to :meth:`~repro.comm.mpi_sim.Endpoint._deliver`, or a
+raw callback (reliability-layer acks, retransmits, benchmarks), which is
+called.  The drain fires both kinds in one transmit-order pass, so a
+callback never overtakes a message queued ahead of it.
 """
 
 from __future__ import annotations
@@ -117,9 +115,8 @@ class Link:
         Args:
             nbytes: serialized payload size.
             on_delivered: zero-arg callback invoked at arrival time, or an
-                ``(endpoint, message)`` pair — same-instant runs of pairs to
-                one endpoint are handed over in a single
-                ``endpoint._deliver_batch(...)`` call.
+                ``(endpoint, message)`` pair, which arrival hands to
+                ``endpoint._deliver(message)``.
             eager_hint: force the eager lane regardless of size (used for
                 small control transactions and cancellation signals).
 
@@ -182,33 +179,18 @@ class Link:
     def _drain(self) -> None:
         """Deliver every message that arrives at the current instant.
 
-        Entries fire in transmit order.  Maximal runs of ``(endpoint, msg)``
-        pairs destined for the same endpoint are grouped into one
-        ``_deliver_batch`` call; a plain callback (ack, retransmit) flushes
-        the run before it fires, so callbacks never overtake data queued
-        ahead of them on this link.
+        Entries fire in transmit order: an ``(endpoint, msg)`` pair goes
+        to ``endpoint._deliver`` and a plain callback (ack, retransmit) is
+        called, so callbacks never overtake data queued ahead of them on
+        this link.
         """
         entries = self._pending.pop(self._kernel.now)
         self.n_delivery_events += 1
-        batch_ep = None
-        batch: list = []
         for entry in entries:
             if entry.__class__ is tuple:
-                ep = entry[0]
-                if ep is not batch_ep:
-                    if batch:
-                        batch_ep._deliver_batch(batch)
-                        batch = []
-                    batch_ep = ep
-                batch.append(entry[1])
+                entry[0]._deliver(entry[1])
             else:
-                if batch:
-                    batch_ep._deliver_batch(batch)
-                    batch = []
-                    batch_ep = None
                 entry()
-        if batch:
-            batch_ep._deliver_batch(batch)
 
     @property
     def busy_until(self) -> float:

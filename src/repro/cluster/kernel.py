@@ -262,7 +262,8 @@ class SimKernel:
         Args:
             until: stop once simulated time would exceed this value.  The
                 first event past the horizon stays queued, so a later
-                ``run()`` resumes exactly where this one stopped.
+                ``run()`` resumes exactly where this one stopped.  A
+                horizon behind ``now`` leaves the clock unchanged.
             max_events: safety valve against runaway simulations; counts
                 cumulatively across ``run`` calls on this kernel.
 
@@ -312,8 +313,9 @@ class SimKernel:
                 time = heap[0][0]
                 if until is not None and time > until:
                     # Horizon reached: leave the event queued for the next
-                    # run() call.
-                    self.now = until
+                    # run() call.  Time never runs backwards.
+                    if until > now:
+                        self.now = until
                     return
                 self.now = now = time
         finally:

@@ -82,20 +82,5 @@ class Cluster:
             self._links[key] = found
         return found
 
-    def subset(self, n: int) -> "Cluster":
-        """A cluster using only the first ``n`` nodes (paper's node sweeps)."""
-        if not 1 <= n <= self.size:
-            raise ValueError(f"cannot take {n} nodes from cluster of {self.size}")
-        overrides = {
-            pair: spec
-            for pair, spec in self.link_overrides.items()
-            if pair[0] < n and pair[1] < n
-        }
-        return Cluster(f"{self.name}[{n}]", self.nodes[:n], self.link_spec, overrides)
-
-    def total_ram(self) -> float:
-        """Aggregate RAM across nodes, bytes."""
-        return sum(node.ram for node in self.nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cluster({self.name!r}, n={self.size}, link={self.link_spec.name!r})"

@@ -205,22 +205,6 @@ class Endpoint:
                 )
         return out
 
-    def recv_many(
-        self, source: int = ANY_SOURCE, tag=ANY_TAG
-    ) -> Generator[Any, Any, List[Message]]:
-        """Blocking batch receive: at least one message, plus every other
-        already-available match, consumed in one generator step.
-
-        When the receiver parks, the link's coalesced drain makes the whole
-        same-instant batch available before the resume runs, so the
-        post-wakeup ``recv_ready`` picks up the rest of the batch for free.
-        """
-        msgs = self.recv_ready(source, tag)
-        if msgs:
-            return msgs
-        msg = yield from self.recv(source, tag)
-        return [msg, *self.recv_ready(source, tag)]
-
     def probe(
         self, source: int = ANY_SOURCE, tag=ANY_TAG
     ) -> Generator[Any, Any, Message]:
@@ -313,20 +297,6 @@ class Endpoint:
             self._make_available(msg2)
         if reliable is not None:
             reliable.on_accept(msg.src, self.rank, msg.tag, self._expected[key])
-
-    def _deliver_batch(self, msgs: List[Message]) -> None:
-        """Accept a same-instant, same-link delivery batch in transmit order.
-
-        Per-message semantics (ordering, stash, stale-drop, per-message
-        ``on_accept`` re-acks) are exactly those of :meth:`_deliver` — the
-        batch entry exists so a coalesced link drain hands the whole run
-        over without allocating one closure per message, and so at most one
-        parked-receiver resume is scheduled for the run (messages after the
-        first land in ``_available`` and are swept by ``recv_ready``).
-        """
-        deliver = self._deliver
-        for msg in msgs:
-            deliver(msg)
 
     def reset_after_crash(self) -> None:
         """Forget all communication state after the owning rank crashes.

@@ -49,7 +49,7 @@ from repro.core.run_state import RequestContext, RunFIFO, RunKind, RunRecord
 from repro.engines.base import GenerationJob
 from repro.models.sampler import argmax_token
 from repro.spec.draft import draft_tree
-from repro.spec.tree_attention import assign_tree_seqs
+from repro.spec.tree import assign_tree_seqs
 from repro.spec.verify import verify_chain, verify_tree
 
 #: Head-node CPU cost to sample/verify one logits vector.

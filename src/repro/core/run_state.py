@@ -186,26 +186,6 @@ class RunFIFO:
                 hit.append(rec)
         return hit
 
-    def find_token_mismatches(self, accepted: Sequence[int]) -> List[RunRecord]:
-        """The paper's literal detection: token-wise comparison vs accepted.
-
-        Exposed for tests demonstrating equivalence with
-        :meth:`invalidate_after`; the engine uses the divergence-based rule
-        which additionally catches stale context early.
-        """
-        tip = len(accepted) - 1
-        hit = []
-        for rec in self._q:
-            if rec.cancelled:
-                continue
-            lo = rec.start_pos
-            hi = min(rec.end_pos, tip)
-            for pos in range(lo, hi + 1):
-                if rec.token_at(pos) != accepted[pos]:
-                    hit.append(rec)
-                    break
-        return hit
-
 
 @dataclass
 class RequestContext:

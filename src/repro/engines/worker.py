@@ -141,22 +141,6 @@ def pipeline_worker(
     wake_tags = (Tag.CANCEL, Tag.DECODE, Tag.CACHE_OP, Tag.FUSED, Tag.CONTROL)
     piece_tags = (Tag.DECODE, Tag.CACHE_OP, Tag.FUSED, Tag.CONTROL)
 
-    try:
-        yield from _worker_loop(
-            ep, kernel, wake_tags, piece_tags, drain_cancels,
-            net, rank, upstream, downstream, head_rank, backend, ws, node,
-            metrics, max_fuse, injector, cancelled, busy, dead,
-        )
-    finally:
-        dead[0] = True
-
-
-def _worker_loop(
-    ep, kernel, wake_tags, piece_tags, drain_cancels,
-    net, rank, upstream, downstream, head_rank, backend, ws, node,
-    metrics, max_fuse, injector, cancelled, busy, dead,
-) -> Generator:
-    """Main receive/evaluate loop (split out so the crash flag wraps it)."""
     #: True while a fusion window's boundary events are in flight.
     in_flight = [False]
     #: ``(future, need_msg)`` the worker parked on mid-window.  Resolved
@@ -179,80 +163,83 @@ def _worker_loop(
         else:
             ep.post_probe(ANY_SOURCE, wake_tags, gate)
 
-    while True:
-        if in_flight[0]:
-            gate = kernel.future(gate_label)
-            gate_box[0] = (gate, True)
-            yield gate
-        elif not ep.iprobe(ANY_SOURCE, wake_tags):
-            yield from ep.probe(ANY_SOURCE, wake_tags)
-        drain_cancels()
-        piece = ep.peek(ANY_SOURCE, piece_tags)
-        if piece is not None:
-            # The piece's sender announced its oldest transaction no later
-            # than the piece itself arrived: dispatch that one.
-            src = piece.src
-        elif ep.announced(upstream):
-            # Woken by a cancel after a transaction was announced but
-            # before its payload landed: dispatch it and wait for the
-            # payload, exactly as if its start marker had been received.
-            src = upstream
-        else:
-            continue  # pure-cancel wake: recorded above, nothing else
-        ttype = ep.take_announcement(src)
-
-        # ---- fusion window: drain this transaction plus every one the same
-        # sender has announced by now, in send order ------------------------
-        window: List = []  # FusedRun | List[CacheOp], dispatch order
-        n_runs = 0
-        shutdown = False
+    try:
         while True:
-            if ttype == TransactionType.SHUTDOWN:
-                yield from recv_piece(ep, src, ttype)
-                shutdown = True
-                break
-            if ttype == TransactionType.DECODE:
-                meta = yield from recv_piece(ep, src, ttype)
-                act: Activations = yield from recv_piece(ep, src, ttype)
-                window.append(FusedRun(meta, act))
-                n_runs += 1
-            elif ttype == TransactionType.CACHE_OP:
-                batch = yield from recv_piece(ep, src, ttype)
-                window.append(batch)
-            elif ttype == TransactionType.FUSED:
-                fb: FusedBatch = yield from recv_piece(ep, src, ttype)
-                for item in fb.items:
-                    window.append(item)
-                    if isinstance(item, FusedRun):
-                        n_runs += 1
-            else:  # pragma: no cover - exhaustive enum
-                raise RuntimeError(f"worker {rank}: unknown transaction {ttype}")
-            if n_runs >= max_fuse or not ep.announced(src):
-                break
+            if in_flight[0]:
+                gate = kernel.future(gate_label)
+                gate_box[0] = (gate, True)
+                yield gate
+            elif not ep.iprobe(ANY_SOURCE, wake_tags):
+                yield from ep.probe(ANY_SOURCE, wake_tags)
+            drain_cancels()
+            piece = ep.peek(ANY_SOURCE, piece_tags)
+            if piece is not None:
+                # The piece's sender announced its oldest transaction no later
+                # than the piece itself arrived: dispatch that one.
+                src = piece.src
+            elif ep.announced(upstream):
+                # Woken by a cancel after a transaction was announced but
+                # before its payload landed: dispatch it and wait for the
+                # payload, exactly as if its start marker had been received.
+                src = upstream
+            else:
+                continue  # pure-cancel wake: recorded above, nothing else
             ttype = ep.take_announcement(src)
 
-        if window:
-            # The window's chunk-boundary sync points run as kernel events;
-            # the worker parks (next loop iteration) until the final
-            # boundary fires ``on_window_done`` at the exact instant the
-            # historical chunk loop finished.
-            in_flight[0] = True
-            _schedule_window(
-                kernel, ep, window, backend, ws, node, metrics,
-                rank, downstream, head_rank, cancelled, busy, drain_cancels,
-                injector, dead, on_window_done,
-            )
+            # ---- fusion window: drain this transaction plus every one the same
+            # sender has announced by now, in send order ------------------------
+            window: List = []  # FusedRun | List[CacheOp], dispatch order
+            n_runs = 0
+            shutdown = False
+            while True:
+                if ttype == TransactionType.SHUTDOWN:
+                    yield from recv_piece(ep, src, ttype)
+                    shutdown = True
+                    break
+                if ttype == TransactionType.DECODE:
+                    meta = yield from recv_piece(ep, src, ttype)
+                    act: Activations = yield from recv_piece(ep, src, ttype)
+                    window.append(FusedRun(meta, act))
+                    n_runs += 1
+                elif ttype == TransactionType.CACHE_OP:
+                    batch = yield from recv_piece(ep, src, ttype)
+                    window.append(batch)
+                elif ttype == TransactionType.FUSED:
+                    fb: FusedBatch = yield from recv_piece(ep, src, ttype)
+                    for item in fb.items:
+                        window.append(item)
+                        if isinstance(item, FusedRun):
+                            n_runs += 1
+                else:  # pragma: no cover - exhaustive enum
+                    raise RuntimeError(f"worker {rank}: unknown transaction {ttype}")
+                if n_runs >= max_fuse or not ep.announced(src):
+                    break
+                ttype = ep.take_announcement(src)
 
-        if shutdown:
-            if in_flight[0]:
-                # Flush: forward the shutdown only once the in-flight
-                # window has completed and sent its records.
-                gate = kernel.future(f"flush-gate@{rank}")
-                gate_box[0] = (gate, False)
-                yield gate
-            if downstream is not None:
-                send_shutdown(ep, downstream)
-            return
+            if window:
+                # The window's chunk-boundary sync points run as kernel events;
+                # the worker parks (next loop iteration) until the final
+                # boundary fires ``on_window_done`` at the exact instant the
+                # historical chunk loop finished.
+                in_flight[0] = True
+                _schedule_window(
+                    kernel, ep, window, backend, ws, node, metrics,
+                    rank, downstream, head_rank, cancelled, busy, drain_cancels,
+                    injector, dead, on_window_done,
+                )
+
+            if shutdown:
+                if in_flight[0]:
+                    # Flush: forward the shutdown only once the in-flight
+                    # window has completed and sent its records.
+                    gate = kernel.future(f"flush-gate@{rank}")
+                    gate_box[0] = (gate, False)
+                    yield gate
+                if downstream is not None:
+                    send_shutdown(ep, downstream)
+                return
+    finally:
+        dead[0] = True
 
 
 def _schedule_window(

@@ -168,14 +168,6 @@ class FaultInjector:
                 factor *= s.factor
         return factor
 
-    def links_lost(self) -> int:
-        """Messages swallowed across every faulty link (introspection)."""
-        return sum(
-            link.n_lost
-            for link in self.net.cluster._links.values()
-            if isinstance(link, FaultyLink)
-        )
-
     # -- crash / restart ------------------------------------------------------
 
     def _crash(self, spec: CrashSpec) -> None:

@@ -1,7 +1,7 @@
 """Model substrate: the llama.cpp-equivalent inference stack.
 
-Two coupled fidelity levels share the interfaces in
-:mod:`repro.models.interfaces`:
+Two coupled fidelity levels, which the engines reach through the
+``Backend`` interface of :mod:`repro.engines.backend`:
 
 - **Functional**: :mod:`repro.models.transformer` is a real NumPy
   decoder-only transformer (RMSNorm, RoPE, grouped-query attention,
@@ -22,7 +22,7 @@ from repro.models.cost import CostModel
 from repro.models.kv_cache import KVCache, KVCacheError
 from repro.models.transformer import TinyTransformer, TransformerConfig
 from repro.models.oracle import OracleLM, OracleLogits, make_aligned_pair
-from repro.models.sampler import greedy_sample, argmax_token
+from repro.models.sampler import argmax_token
 from repro.models.tokenizer import ToyTokenizer
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "OracleLM",
     "OracleLogits",
     "make_aligned_pair",
-    "greedy_sample",
     "argmax_token",
     "ToyTokenizer",
 ]

@@ -174,10 +174,6 @@ class CostModel:
         self._memo[key] = t
         return t
 
-    def cache_op_time(self, node: NodeSpec) -> float:
-        """A KV-cache metadata operation (seq_cp/seq_rm): near-free."""
-        return 2e-6
-
     # -- message sizes ---------------------------------------------------------
 
     def activation_bytes(self, n_tokens: int) -> float:

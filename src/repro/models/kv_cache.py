@@ -350,22 +350,6 @@ class KVCache:
             self._release(emptied)
         return int(hit.size)
 
-    def seq_keep(self, seq: int) -> int:
-        """Drop every sequence except ``seq``; free cells not in it."""
-        live = self.pos >= 0
-        has_row = self._row(seq)
-        if has_row:
-            keep = self._member[seq].copy()
-        else:
-            keep = np.zeros(self.n_cells, dtype=bool)
-        drop = np.flatnonzero(live & ~keep)
-        self._member[:, :] = False
-        if has_row:
-            self._member[seq] = keep
-        if drop.size:
-            self._release(drop)
-        return int(drop.size)
-
     def seq_broadcast(self, seq_src: int, p0: int, p1: int, targets: Iterable[int]) -> int:
         """Copy ``seq_src``'s cells in range into every sequence in ``targets``.
 

@@ -1,4 +1,4 @@
-"""Transformer layer math: RMSNorm, RoPE, softmax, SwiGLU.
+"""Transformer layer math: RMSNorm, RoPE, SwiGLU.
 
 Pure NumPy, vectorized over the (tiny) decode batches the engines use.
 Shapes follow the convention ``(n_tokens, ...)`` with attention heads as an
@@ -112,20 +112,6 @@ def silu(
     return out
 
 
-def softmax(
-    x: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Numerically stable softmax (``out`` may alias ``x``)."""
-    m = x.max(axis=axis, keepdims=True)
-    if out is None:
-        e = np.exp(x - m)
-        return e / e.sum(axis=axis, keepdims=True)
-    np.subtract(x, m, out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-    return out
-
-
 def rope_frequencies(head_dim: int, base: float = 10000.0) -> np.ndarray:
     """Per-pair rotation frequencies for rotary position embedding."""
     if head_dim % 2 != 0:
@@ -170,17 +156,6 @@ def apply_rope_tables(
     return out
 
 
-def apply_rope(x: np.ndarray, positions: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Rotate ``x`` of shape (n, heads, head_dim) by per-token positions.
-
-    Rotary embedding encodes *absolute* position by rotating consecutive
-    channel pairs; relative offsets fall out of the attention dot product.
-    Tokens in a speculative batch carry non-contiguous positions, so the
-    rotation is applied per token from ``positions``.
-    """
-    return apply_rope_tables(x, rope_tables(positions, freqs))
-
-
 def swiglu(
     x: np.ndarray,
     w_gate: np.ndarray,
@@ -211,119 +186,3 @@ def swiglu(
         return g @ w_down
     np.matmul(g, w_down, out=out)
     return out
-
-
-def batched_grouped_attention(
-    q: np.ndarray,
-    k_cells: np.ndarray,
-    v_cells: np.ndarray,
-    mask: np.ndarray,
-    n_kv_heads: int,
-    invisible: "np.ndarray | None" = None,
-    arena: Optional[ScratchArena] = None,
-    key: str = "",
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Masked attention for a whole decode batch over shared cache cells.
-
-    The batched form of :func:`grouped_attention`: instead of gathering
-    each token's visible cells and attending one token at a time, every
-    token attends over the same cell block with a per-token boolean
-    visibility mask (invisible cells are driven to -inf before softmax,
-    so their weights are exactly zero).
-
-    Args:
-        q: (n_tokens, n_heads, head_dim) queries (already rotated).
-        k_cells: (n_cells, kv_dim) keys for the shared cell block.
-        v_cells: (n_cells, kv_dim) values for the shared cell block.
-        mask: (n_tokens, n_cells) boolean visibility; every row must have
-            at least one visible cell (a token always sees its own entry).
-        n_kv_heads: KV head count; query heads are grouped onto them.
-        invisible: optional precomputed ``~mask[:, None, None, :]``.  The
-            mask is fixed for a whole decode batch, so callers evaluating
-            several layers hoist the inversion out of the layer loop.
-        arena: optional scratch arena for the score and output tensors.
-            When given, the returned array is an arena view valid only
-            until the arena's next use — callers must consume (or copy)
-            it before their next attention call.
-        key: arena-name suffix so several attention sub-problems of
-            different shapes (row groups of one batch) keep distinct
-            score buffers instead of thrashing one.
-        out: optional (n_tokens, n_kv_heads, group, head_dim) buffer for
-            the output matmul (e.g. a row slice of a whole-batch
-            activation buffer).
-
-    Returns:
-        (n_tokens, n_heads, head_dim) attention output per token.
-    """
-    n_tokens, n_heads, head_dim = q.shape
-    group = n_heads // n_kv_heads
-    n_cells = k_cells.shape[0]
-    k = k_cells.reshape(n_cells, n_kv_heads, head_dim)
-    v = v_cells.reshape(n_cells, n_kv_heads, head_dim)
-    # Group query heads onto their KV head: (tokens, kv_heads, group, hd),
-    # then batched matmuls over the cell axis (equivalent to the einsum
-    # contractions "tkgd,ckd->tkgc" / "tkgc,ckd->tkgd", but dispatched to
-    # BLAS, which is several times faster at these shapes).
-    qg = q.reshape(n_tokens, n_kv_heads, group, head_dim)
-    if arena is None:
-        scores = np.matmul(qg, k.transpose(1, 2, 0))
-    else:
-        scores = arena.get(
-            "attn.scores" + key, (n_tokens, n_kv_heads, group, n_cells)
-        )
-        np.matmul(qg, k.transpose(1, 2, 0), out=scores)
-    scores /= np.sqrt(head_dim)
-    # Mask and softmax in place: invisible cells are driven to -inf before
-    # the shift-exp-normalize, so their weights are exactly zero.  Same
-    # arithmetic as ``softmax(np.where(mask, scores, -inf))`` without the
-    # three full-size temporaries — this runs once per layer per batch.
-    if invisible is None:
-        invisible = ~mask[:, None, None, :]
-    np.copyto(scores, -np.inf, where=invisible)
-    # Method-call forms of max/sum skip the np.* dispatch wrappers —
-    # same reductions, and this runs once per layer per row group.
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    if out is None:
-        if arena is None:
-            out = np.matmul(scores, v.transpose(1, 0, 2))
-        else:
-            out = arena.get(
-                "attn.out" + key, (n_tokens, n_kv_heads, group, head_dim)
-            )
-            np.matmul(scores, v.transpose(1, 0, 2), out=out)
-    else:
-        np.matmul(scores, v.transpose(1, 0, 2), out=out)
-    return out.reshape(n_tokens, n_heads, head_dim)
-
-
-def grouped_attention(
-    q: np.ndarray,
-    k_cells: np.ndarray,
-    v_cells: np.ndarray,
-    n_kv_heads: int,
-) -> np.ndarray:
-    """Single-query attention over gathered cache cells.
-
-    Args:
-        q: (n_heads, head_dim) query for one token.
-        k_cells: (n_cells, kv_dim) gathered keys (already rotated).
-        v_cells: (n_cells, kv_dim) gathered values.
-        n_kv_heads: KV head count; query heads are grouped onto them.
-
-    Returns:
-        (n_heads, head_dim) attention output for the token.
-    """
-    n_heads, head_dim = q.shape
-    group = n_heads // n_kv_heads
-    n_cells = k_cells.shape[0]
-    k = k_cells.reshape(n_cells, n_kv_heads, head_dim)
-    v = v_cells.reshape(n_cells, n_kv_heads, head_dim)
-    # Broadcast each KV head to its query-head group.
-    k = np.repeat(k, group, axis=1)  # (cells, heads, hd)
-    v = np.repeat(v, group, axis=1)
-    scores = np.einsum("hd,chd->hc", q, k) / np.sqrt(head_dim)
-    weights = softmax(scores, axis=-1)
-    return np.einsum("hc,chd->hd", weights, v)

@@ -19,8 +19,8 @@ canonical sequence is one interval, a partition one or two):
 - ``seq_rm`` — O(log k) to find the span plus one slice assignment.
 - ``seq_cp`` — O(log k + m) for the *m* source intervals it copies, each
   merged straight into the destination as an ``add``.
-- ``seq_keep`` and the queries (``n_used``, ``seq_positions``) — O(k) per
-  sequence they visit.
+- the queries (``n_used``, ``seq_positions``) — O(k) per sequence they
+  visit.
 """
 
 from __future__ import annotations
@@ -113,10 +113,6 @@ class IntervalSet:
         out._ivals = self._clipped(lo, hi)
         return out
 
-    def union_into(self, other: "IntervalSet") -> None:
-        for a, b in self._ivals:
-            other.add(a, b)
-
     def __contains__(self, pos: int) -> bool:
         return any(a <= pos < b for a, b in self._ivals)
 
@@ -191,22 +187,6 @@ class RangeKVCache:
         n = 0
         for dst in targets:
             n += self.seq_cp(seq_src, dst, p0, p1)
-        return n
-
-    def seq_keep(self, seq: int) -> int:
-        """Drop every sequence except ``seq``; returns positions dropped.
-
-        Interval metadata has no cell identity, so the return value counts
-        dropped *positions* rather than freed cells (two sequences at one
-        position may or may not share a cell — unrepresentable here); the
-        observable per-sequence state matches :class:`KVCache.seq_keep`.
-        """
-        n = 0
-        for other, ivals in self._seqs.items():
-            if other != seq:
-                n += len(ivals)
-        kept = self._seqs.get(seq)
-        self._seqs = {seq: kept} if kept is not None else {}
         return n
 
     # -- queries (KVCache-compatible) ---------------------------------------

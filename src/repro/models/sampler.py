@@ -1,9 +1,8 @@
 """Token sampling.
 
 The paper uses greedy sampling throughout so that all inference strategies
-produce byte-identical output (Section V-A); greedy is therefore the load-
-bearing path here.  Temperature sampling is provided for the examples and
-to exercise the stochastic branch of SpecInfer verification.
+produce byte-identical output (Section V-A), so every engine samples with
+:func:`argmax_token`.  The confidence helpers feed the drafter's cutoff.
 """
 
 from __future__ import annotations
@@ -32,26 +31,6 @@ def top_prob(logits: LogitsLike) -> float:
     probs = np.exp(shifted)
     probs /= probs.sum()
     return float(probs.max())
-
-
-def greedy_sample(logits: LogitsLike) -> int:
-    """Deterministic argmax sampling (the paper's evaluation setting)."""
-    return argmax_token(logits)
-
-
-def temperature_sample(
-    logits: np.ndarray, temperature: float, rng: np.random.Generator
-) -> int:
-    """Sample from softmax(logits / T).  Requires dense logits."""
-    if isinstance(logits, OracleLogits):
-        raise TypeError("temperature sampling needs dense logits")
-    if temperature <= 0:
-        return argmax_token(logits)
-    scaled = logits / temperature
-    shifted = scaled - scaled.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
-    return int(rng.choice(len(probs), p=probs))
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:

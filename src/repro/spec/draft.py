@@ -1,8 +1,9 @@
-"""Drafting policies: turning a draft model into speculation trees.
+"""Drafting policies: the speculation knobs and tree drafting.
 
 The speculation phase (paper Section II-A1) runs the draft model
 iteratively, extending candidates until the top confidence falls below a
-cutoff or the tree reaches its token budget.  Engines consume drafting
+cutoff or the tree reaches its token budget.  :class:`DraftParams` holds
+those knobs for every engine.  Tree drafting consumes the draft model
 through the small :class:`Drafter` protocol so oracle models (performance
 mode) and real tiny transformers (functional mode) are interchangeable.
 Tree drafting walks drafter-owned *cursors* rather than token lists, so a
@@ -13,15 +14,14 @@ context token.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Protocol, Sequence, Tuple
+from typing import Any, List, Protocol, Tuple
 
 from repro.spec.tree import SpecTree
 
 
 class Drafter(Protocol):
-    """Anything that can greedily propose the next token for a prefix.
+    """Anything that can propose ranked continuations from a cursor.
 
-    :func:`draft_chain` proposes from token lists (``propose``).
     :func:`draft_tree` proposes from *cursors* (``propose_alternatives``,
     ``advance_cursor``): opaque values the drafter owns, each standing for
     a token prefix.  The caller hands :func:`draft_tree` the cursor of the
@@ -31,11 +31,9 @@ class Drafter(Protocol):
     so an edge costs one hash step and each tree node's cursor is the
     state its verification slot needs.  Engine backends
     (:class:`~repro.engines.backend.Backend`) are the tree drafters.
+    PipeInfer's chains are drafted by the head through
+    ``Backend.propose_multi``, not through this module.
     """
-
-    def propose(self, prefix: Sequence[int]) -> Tuple[int, float]:
-        """Return (token, confidence) for the greedy continuation of ``prefix``."""
-        ...
 
     def propose_alternatives(self, cursor: Any, n: int) -> List[Tuple[int, float]]:
         """Top-``n`` proposals at ``cursor``, best first (branching trees)."""
@@ -72,36 +70,11 @@ class DraftParams:
             raise ValueError("branch_width must be >= 1")
 
 
-def draft_chain(
-    drafter: Drafter,
-    prefix: Sequence[int],
-    params: DraftParams,
-    cutoff_override: float | None = None,
-) -> List[Tuple[int, float]]:
-    """Draft a greedy chain continuing ``prefix``.
-
-    Returns (token, confidence) pairs; may be empty when the very first
-    proposal falls below the cutoff.  ``cutoff_override`` lets PipeInfer's
-    reactive controller substitute its adapted threshold.
-    """
-    cutoff = params.cutoff if cutoff_override is None else cutoff_override
-    chain: List[Tuple[int, float]] = []
-    working = list(prefix)
-    while len(chain) < params.max_tokens:
-        token, conf = drafter.propose(working)
-        if conf < cutoff:
-            break
-        chain.append((token, conf))
-        working.append(token)
-    return chain
-
-
 def draft_tree(
     drafter: Drafter,
     root: Any,
     base_pos: int,
     params: DraftParams,
-    cutoff_override: float | None = None,
 ) -> SpecTree:
     """Draft a speculation tree continuing the prefix at cursor ``root``.
 
@@ -114,7 +87,7 @@ def draft_tree(
     SpecInfer's learned expansion policies that keeps trees narrow when
     the draft is confident.
     """
-    cutoff = params.cutoff if cutoff_override is None else cutoff_override
+    cutoff = params.cutoff
     tree = SpecTree(base_pos)
     # Frontier entries: (confidence, parent index, drafter cursor).
     frontier: List[Tuple[float, int, Any]] = [(1.0, -1, root)]

@@ -1,16 +1,17 @@
-"""Speculation tree data structure.
+"""Speculation trees and their KV-cache sequence assignment.
 
 A tree of candidate continuations rooted at the current accepted tip.
 Each node holds a token, the draft's confidence in it, and its parent;
-root-to-node paths are candidate sequences.  A greedy single-path draft
-produces a degenerate tree (a chain) — the common case in the engines —
-while the SpecInfer-style baseline can verify branching trees.
+root-to-node paths are candidate sequences.  The Speculative baseline
+drafts and verifies such trees in one batch; :func:`assign_tree_seqs`
+gives each root-to-leaf branch its own KV-cache sequence so sibling
+branches never attend to each other (paper Section II-A2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Sequence
+from typing import Any, List, Sequence, Set
 
 
 @dataclass
@@ -77,43 +78,42 @@ class SpecTree:
         path.reverse()
         return path
 
-    def path_tokens(self, index: int) -> List[int]:
-        """Tokens along the root-to-``index`` path."""
-        return [self.nodes[i].token for i in self.path_to(index)]
-
     def leaves(self) -> List[int]:
         """Indices of nodes with no children."""
         has_child = {n.parent for n in self.nodes if n.parent >= 0}
         return [i for i in range(len(self.nodes)) if i not in has_child]
 
-    def depth(self) -> int:
-        """Length of the longest root-to-leaf path."""
-        best = 0
-        for leaf in self.leaves():
-            best = max(best, len(self.path_to(leaf)))
-        return best
-
-    def ancestors(self, index: int) -> set[int]:
-        """All strict ancestors of ``index``."""
-        out: set[int] = set()
-        i = self.nodes[index].parent
-        while i >= 0:
-            out.add(i)
-            i = self.nodes[i].parent
-        return out
-
-    def is_chain(self) -> bool:
-        """True when the tree is a single path."""
-        return all(len(self.children(i)) <= 1 for i in range(-1, len(self.nodes)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SpecTree(base={self.base_pos}, n={len(self.nodes)}, leaves={len(self.leaves())})"
 
 
-def chain_tree(base_pos: int, tokens: Sequence[int], confidences: Sequence[float]) -> SpecTree:
-    """Build a degenerate (single-path) tree from a drafted chain."""
-    tree = SpecTree(base_pos)
-    parent = -1
-    for tok, conf in zip(tokens, confidences):
-        parent = tree.add(tok, conf, parent)
-    return tree
+def assign_tree_seqs(tree: SpecTree, seq_ids: Sequence[int]) -> List[Set[int]]:
+    """Map each tree node to the set of branch sequence ids covering it.
+
+    Verifying a tree in one batch requires that sibling branches not
+    attend to each other (paper Section II-A2).  Each root-to-leaf path
+    becomes one KV-cache sequence, and a node's cell carries the set of
+    sequences whose paths pass through it (the llama.cpp
+    representation), so the causal visibility the cache derives from
+    this metadata is ancestor-only attention.
+
+    Args:
+        tree: the speculation tree.
+        seq_ids: one id per leaf, in :meth:`SpecTree.leaves` order.
+
+    Returns:
+        Per-node sets of sequence ids.  Each node belongs to the branches
+        of every leaf beneath it; attending within one branch's sequence
+        then reproduces ancestor-only visibility.
+
+    Raises:
+        ValueError: when fewer ids than leaves are supplied.
+    """
+    leaves = tree.leaves()
+    if len(seq_ids) < len(leaves):
+        raise ValueError(f"need {len(leaves)} seq ids, got {len(seq_ids)}")
+    node_seqs: List[Set[int]] = [set() for _ in range(len(tree))]
+    for leaf, seq in zip(leaves, seq_ids):
+        for node in tree.path_to(leaf):
+            node_seqs[node].add(seq)
+    return node_seqs

@@ -12,9 +12,10 @@ tokens and advances the accepted stream:
   full acceptance, the *correction* on divergence), so every completed run
   is productive.
 
-The greedy walk is exact token comparison; :func:`stochastic_verify_step`
-implements SpecInfer's rejection-sampling rule for dense distributions,
-which preserves the target model's output distribution.
+The walk is greedy: a prediction confirms a drafted token exactly when
+they are equal, which is what keeps every engine's output byte-identical
+to the target model's (Section V-A).  :func:`verify_chain` walks a chain
+run and :func:`verify_tree` descends a speculation tree.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
-import numpy as np
-
-from repro.models.sampler import LogitsLike, argmax_token, softmax_probs
+from repro.models.sampler import LogitsLike, argmax_token
 from repro.spec.tree import SpecTree
 
 
@@ -150,35 +149,3 @@ def verify_tree(
             # Full path accepted; the matched leaf's logits give the bonus.
             out.new_tokens.append(sample(cur_logits))
             return out
-
-
-def stochastic_verify_step(
-    target_logits: np.ndarray,
-    draft_logits: np.ndarray,
-    draft_token: int,
-    rng: np.random.Generator,
-) -> tuple[bool, int]:
-    """One SpecInfer rejection-sampling step for dense distributions.
-
-    Accepts ``draft_token`` with probability ``min(1, p(t)/q(t))``; on
-    rejection, samples the replacement from ``normalize(max(p - q, 0))``.
-    The marginal distribution of the emitted token equals sampling directly
-    from the target distribution ``p`` — the property test checks this.
-
-    Returns:
-        (accepted, token): the drafted token when accepted, otherwise the
-        residual-sampled replacement.
-    """
-    p = softmax_probs(target_logits)
-    q = softmax_probs(draft_logits)
-    ratio = p[draft_token] / max(q[draft_token], 1e-30)
-    if rng.random() < min(1.0, ratio):
-        return True, int(draft_token)
-    residual = np.maximum(p - q, 0.0)
-    total = residual.sum()
-    if total <= 0.0:
-        # Distributions identical: rejection cannot happen in exact math;
-        # guard the numerical edge by sampling from the target directly.
-        return False, int(rng.choice(len(p), p=p))
-    residual /= total
-    return False, int(rng.choice(len(residual), p=residual))

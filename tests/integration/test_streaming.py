@@ -208,6 +208,18 @@ class TestServingSession:
         assert sess.now() >= 5.0
         sess.drain()
 
+    def test_advance_until_an_earlier_time_moves_no_clock(self, pair):
+        sess = _session(pair, k=2)
+        for i, job in enumerate(_jobs(pair, n=2)):
+            sess.submit(job, arrival=0.1 * i)
+        assert sess.advance_until(2.0)
+        before = [rep.kernel.now for rep in sess._replicas]
+        now = sess.now()
+        assert sess.advance_until(0.5)
+        assert [rep.kernel.now for rep in sess._replicas] == before
+        assert sess.now() == now
+        sess.drain()
+
     def test_submit_clamps_past_arrivals(self, pair):
         sess = _session(pair)
         jobs = _jobs(pair, n=2)

@@ -95,20 +95,6 @@ class ReferenceKVCache:
             n += 1
         return n
 
-    def seq_keep(self, seq: int) -> int:
-        """Drop every sequence except ``seq``; free cells not in it."""
-        n = 0
-        for cell in range(self.n_cells):
-            if self.pos[cell] < 0:
-                continue
-            if seq in self.seqs[cell]:
-                self.seqs[cell] = {seq}
-            else:
-                self.seqs[cell] = set()
-                self.pos[cell] = -1
-                n += 1
-        return n
-
     def seq_broadcast(self, seq_src: int, p0: int, p1: int, targets: Iterable[int]) -> int:
         n = 0
         for dst in targets:

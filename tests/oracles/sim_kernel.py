@@ -50,7 +50,7 @@ class ReferenceSimKernel:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         while self._heap:
             if until is not None and self._heap[0][0] > until:
-                self.now = until
+                self.now = max(self.now, until)
                 return
             time, _, fn = heapq.heappop(self._heap)
             self.now = time

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 from repro import OracleBackend, cluster_c, get_pair
 from repro.spec.draft import DraftParams, draft_tree
 
+from oracles.tree import path_tokens
+
 PAIR = "dolphin+tinyllama"
 
 
@@ -64,4 +66,4 @@ def test_cursor_tree_matches_prefix_tree(seed, prompt, width, max_tokens, cutoff
     full_prefixes = [list(prompt)] + [n.cursor for n in ref.nodes]
     assert states == [be.oracle.init_state(p) for p in full_prefixes]
     for i, node in enumerate(ref.nodes):
-        assert node.cursor == list(prompt) + ref.path_tokens(i)
+        assert node.cursor == list(prompt) + path_tokens(ref, i)

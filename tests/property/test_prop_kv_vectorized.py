@@ -37,7 +37,6 @@ op_strategy = st.one_of(
     st.tuples(st.just("alloc"), POS, SEQ_SETS),
     st.tuples(st.just("cp"), SEQS, SEQS, pos_range()),
     st.tuples(st.just("rm"), SEQS, pos_range()),
-    st.tuples(st.just("keep"), SEQS),
     st.tuples(st.just("bcast"), SEQS, pos_range(), st.sets(SEQS, max_size=3)),
 )
 
@@ -117,10 +116,6 @@ def test_three_way_equivalence(operations):
             n_vec = vec.seq_rm(seq, p0, p1)
             assert n_vec == ref.seq_rm(seq, p0, p1)
             assert n_vec == rng.seq_rm(seq, p0, p1)
-        elif op[0] == "keep":
-            _, seq = op
-            assert vec.seq_keep(seq) == ref.seq_keep(seq)
-            rng.seq_keep(seq)  # return counts positions, not cells
         else:
             _, src, (p0, p1), targets = op
             n_vec = vec.seq_broadcast(src, p0, p1, sorted(targets))
@@ -164,8 +159,6 @@ def test_compact_visibility_with_duplicate_cells(operations):
         elif op[0] == "rm":
             _, seq, (p0, p1) = op
             assert vec.seq_rm(seq, p0, p1) == ref.seq_rm(seq, p0, p1)
-        elif op[0] == "keep":
-            assert vec.seq_keep(op[1]) == ref.seq_keep(op[1])
         else:
             _, src, (p0, p1), targets = op
             assert vec.seq_broadcast(src, p0, p1, sorted(targets)) == ref.seq_broadcast(

@@ -1,11 +1,8 @@
 """Oracle statistical properties."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.models.oracle import DraftOracle, OracleLM, make_aligned_pair
-from repro.models.sampler import softmax_probs
-from repro.spec.verify import stochastic_verify_step
 
 
 @settings(max_examples=20, deadline=None)
@@ -48,22 +45,3 @@ def test_calibrated_pair_hits_measured_rate(measured):
             )
     assert passed > 0
     assert abs(agreed / passed - measured) < 0.05
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 100))
-def test_stochastic_verify_preserves_target_distribution(seed):
-    """The rejection-sampling rule emits tokens distributed per the target,
-    for random target/draft distributions — SpecInfer's guarantee."""
-    rng = np.random.default_rng(seed)
-    target_logits = rng.normal(size=4)
-    draft_logits = rng.normal(size=4)
-    p = softmax_probs(target_logits)
-    q = softmax_probs(draft_logits)
-    counts = np.zeros(4)
-    n = 8000
-    for _ in range(n):
-        d = int(rng.choice(4, p=q))
-        _, tok = stochastic_verify_step(target_logits, draft_logits, d, rng)
-        counts[tok] += 1
-    assert np.allclose(counts / n, p, atol=0.03)

@@ -1,127 +1,38 @@
-"""Batched masked attention == the per-slot gather loop, numerically.
+"""Stage attention visibility: tree branches and the per-batch mask.
 
-PR 2 replaced the per-token ``visible_cells`` gather + ``grouped_attention``
-loop with one masked batched kernel per layer.  These tests pin the kernel
-to the original formulation: for every token, attending over the full cell
-block with a visibility mask must match gathering that token's visible
-cells and attending over the compact subset, to <= 1e-10.
+``forward_stage`` attends each run over the cache cells its sequence can
+see.  These tests pin what that visibility is: under
+:func:`~repro.spec.tree.assign_tree_seqs` a tree node sees exactly its
+ancestors and itself, and the visibility a fused all-layers stage reuses
+across its layers gives the same logits as recomputing it per stage.
 """
 
 import numpy as np
-import pytest
 
 from repro.comm.payloads import TokenSlot
 from repro.models.kv_cache import KVCache
-from repro.models.layers import batched_grouped_attention, grouped_attention
 from repro.models.transformer import TinyTransformer, TransformerConfig
-from repro.spec.tree import SpecTree
-from repro.spec.tree_attention import (
-    assign_tree_seqs,
-    tree_attention_mask,
-    tree_batch_attention,
-)
+from repro.spec.tree import SpecTree, assign_tree_seqs
+
+from oracles.tree import tree_attention_mask
 
 TOL = 1e-10
 
 
-def _loop_reference(q, k_cells, v_cells, mask, n_kv_heads):
-    """The pre-PR formulation: gather each token's visible cells, attend."""
-    out = np.empty_like(q)
-    for i in range(q.shape[0]):
-        visible = np.flatnonzero(mask[i])
-        out[i] = grouped_attention(
-            q[i], k_cells[visible], v_cells[visible], n_kv_heads
-        )
-    return out
-
-
-@pytest.mark.parametrize("n_tokens,n_cells", [(1, 1), (4, 16), (7, 33)])
-@pytest.mark.parametrize("n_heads,n_kv_heads", [(4, 2), (4, 4), (8, 2)])
-def test_batched_matches_per_slot_loop(n_tokens, n_cells, n_heads, n_kv_heads):
-    head_dim = 8
-    rng = np.random.default_rng(n_tokens * 100 + n_cells + n_heads)
-    q = rng.normal(size=(n_tokens, n_heads, head_dim))
-    k = rng.normal(size=(n_cells, n_kv_heads * head_dim))
-    v = rng.normal(size=(n_cells, n_kv_heads * head_dim))
-    mask = rng.random((n_tokens, n_cells)) < 0.5
-    mask[:, 0] = True  # every token sees at least one cell
-    got = batched_grouped_attention(q, k, v, mask, n_kv_heads)
-    want = _loop_reference(q, k, v, mask, n_kv_heads)
-    assert np.max(np.abs(got - want)) <= TOL
-
-
-def test_fully_visible_mask_is_plain_attention():
-    rng = np.random.default_rng(3)
-    q = rng.normal(size=(3, 4, 6))
-    k = rng.normal(size=(10, 2 * 6))
-    v = rng.normal(size=(10, 2 * 6))
-    mask = np.ones((3, 10), dtype=bool)
-    got = batched_grouped_attention(q, k, v, mask, n_kv_heads=2)
-    for i in range(3):
-        want = grouped_attention(q[i], k, v, n_kv_heads=2)
-        assert np.max(np.abs(got[i] - want)) <= TOL
-
-
-def test_masked_cells_have_exactly_zero_weight():
-    """A masked cell's value must not leak: vary it, output is unchanged."""
-    rng = np.random.default_rng(5)
-    q = rng.normal(size=(2, 4, 6))
-    k = rng.normal(size=(8, 2 * 6))
-    v = rng.normal(size=(8, 2 * 6))
-    mask = np.ones((2, 8), dtype=bool)
-    mask[0, 3] = False
-    a = batched_grouped_attention(q, k, v, mask, n_kv_heads=2)
-    v2 = v.copy()
-    v2[3] += 1e6
-    b = batched_grouped_attention(q, k, v2, mask, n_kv_heads=2)
-    assert np.array_equal(a[0], b[0])  # token 0 cannot see cell 3
-    assert not np.array_equal(a[1], b[1])  # token 1 can
-
-
-def test_tree_batch_attention_matches_cache_metadata_path():
-    """Explicit tree mask == KV-cache sequence-id visibility, numerically.
-
-    The engines verify trees through cache sequence metadata; the
-    mask-based :func:`tree_batch_attention` twin must produce the same
-    attention output, not just the same boolean mask.
-    """
+def test_tree_seq_visibility_is_the_ancestor_mask():
+    """KV-cache visibility under tree sequence ids == the ancestor mask."""
     tree = SpecTree(base_pos=-1)  # roots at pos 0: self-contained batch
     a = tree.add(1, 0.9)
     b = tree.add(2, 0.8, parent=a)
-    c = tree.add(3, 0.7, parent=a)
-    d = tree.add(4, 0.6, parent=b)
+    tree.add(3, 0.7, parent=a)
+    tree.add(4, 0.6, parent=b)
     node_seqs = assign_tree_seqs(tree, seq_ids=[1, 2])
-
-    head_dim, n_kv_heads, n_heads = 6, 2, 4
-    rng = np.random.default_rng(11)
     n = len(tree)
-    q = rng.normal(size=(n, n_heads, head_dim))
-    k = rng.normal(size=(n, n_kv_heads * head_dim))
-    v = rng.normal(size=(n, n_kv_heads * head_dim))
-
-    got = tree_batch_attention(tree, q, k, v, n_kv_heads)
-
-    # Metadata path: allocate each node under its branch sequences, then
-    # attend each node from its own branch via the cache's visibility.
-    cache = KVCache(
-        n_cells=n, n_layers=1, kv_dim=n_kv_heads * head_dim, dtype=np.float64
-    )
-    cells = cache.allocate(
-        [(tree.nodes[i].pos, node_seqs[i]) for i in range(n)]
-    )
-    cache.write(0, np.asarray(cells), k, v)
-    for i in range(n):
-        query_seq = min(node_seqs[i])
-        visible = cache.visible_cells(query_seq, tree.nodes[i].pos)
-        want = grouped_attention(
-            q[i], cache.k[0, visible], cache.v[0, visible], n_kv_heads
-        )
-        assert np.max(np.abs(got[i] - want)) <= TOL
-
-    # And the mask the cache implies equals the explicit ancestor mask.
+    cache = KVCache(n_cells=n)
+    cells = cache.allocate([(tree.nodes[i].pos, node_seqs[i]) for i in range(n)])
     mask = tree_attention_mask(tree)
     for i in range(n):
-        vis = set(int(x) for x in cache.visible_cells(min(node_seqs[i]), tree.nodes[i].pos))
+        vis = {int(x) for x in cache.visible_cells(min(node_seqs[i]), tree.nodes[i].pos)}
         assert vis == {cells[j] for j in range(n) if mask[i, j]}
 
 

@@ -86,5 +86,3 @@ class TestStageAndSizes:
             80 * 1000 * arch.kv_bytes_per_token_per_layer
         )
 
-    def test_cache_op_near_free(self, dolphin_cost):
-        assert dolphin_cost.cache_op_time(XEON_GOLD_6140) < 1e-5

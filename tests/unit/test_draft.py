@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.spec.draft import DraftParams, draft_chain, draft_tree
+from repro.spec.draft import DraftParams, draft_tree
+
+from oracles.tree import is_chain
 
 
 class ScriptedDrafter:
@@ -13,13 +15,9 @@ class ScriptedDrafter:
         self.script = list(script)
         self.calls = 0
 
-    def propose(self, prefix):
-        out = self.script[min(self.calls, len(self.script) - 1)]
-        self.calls += 1
-        return out
-
     def propose_alternatives(self, prefix, n):
-        tok, conf = self.propose(prefix)
+        tok, conf = self.script[min(self.calls, len(self.script) - 1)]
+        self.calls += 1
         return [(tok + i, conf * (0.5**i)) for i in range(n)]
 
     def advance_cursor(self, prefix, token):
@@ -36,48 +34,11 @@ class TestParams:
             DraftParams(branch_width=0)
 
 
-class TestChainDrafting:
-    def test_stops_at_cutoff(self):
-        d = ScriptedDrafter([(1, 0.9), (2, 0.8), (3, 0.1), (4, 0.9)])
-        chain = draft_chain(d, [0], DraftParams(max_tokens=8, cutoff=0.3))
-        assert [t for t, _ in chain] == [1, 2]
-
-    def test_respects_budget(self):
-        d = ScriptedDrafter([(1, 0.9)])
-        chain = draft_chain(d, [0], DraftParams(max_tokens=3, cutoff=0.1))
-        assert len(chain) == 3
-
-    def test_empty_when_first_below_cutoff(self):
-        d = ScriptedDrafter([(1, 0.05)])
-        assert draft_chain(d, [0], DraftParams(cutoff=0.3)) == []
-
-    def test_cutoff_override(self):
-        d = ScriptedDrafter([(1, 0.5), (2, 0.5)])
-        chain = draft_chain(
-            d, [0], DraftParams(max_tokens=4, cutoff=0.9), cutoff_override=0.4
-        )
-        assert len(chain) == 4  # override admits what base cutoff would not
-
-    def test_prefix_extended_between_proposals(self):
-        seen = []
-
-        class Spy:
-            def propose(self, prefix):
-                seen.append(list(prefix))
-                return (7, 0.9)
-
-            def propose_alternatives(self, prefix, n):
-                return [(7, 0.9)]
-
-        draft_chain(Spy(), [1, 2], DraftParams(max_tokens=2, cutoff=0.1))
-        assert seen == [[1, 2], [1, 2, 7]]
-
-
 class TestTreeDrafting:
     def test_chain_when_width_one(self):
         d = ScriptedDrafter([(1, 0.9), (2, 0.9), (3, 0.9), (4, 0.9)])
         tree = draft_tree(d, [0], 5, DraftParams(max_tokens=3, cutoff=0.1, branch_width=1))
-        assert tree.is_chain()
+        assert is_chain(tree)
         assert len(tree) == 3
         assert tree.base_pos == 5
 

@@ -158,6 +158,30 @@ def test_distinct_arrivals_use_distinct_delivery_events():
     assert link.n_delivery_events == 2
 
 
+def test_drain_mixes_endpoints_and_callbacks_in_transmit_order():
+    """Message pairs to two endpoints and a raw callback share one instant:
+    the drain fires every entry in transmit order, in one event."""
+    order = []
+
+    class Inbox:
+        def __init__(self, name):
+            self.name = name
+
+        def _deliver(self, msg):
+            order.append((self.name, msg))
+
+    a, b = Inbox("a"), Inbox("b")
+    k, link = make_link(LinkSpec("t", latency=10 * us, bandwidth=float("inf")))
+    link.transmit(100, (a, 1))
+    link.transmit(100, (a, 2))
+    link.transmit(100, lambda: order.append(("callback", 3)))
+    link.transmit(100, (b, 4))
+    link.transmit(100, (a, 5))
+    k.run()
+    assert order == [("a", 1), ("a", 2), ("callback", 3), ("b", 4), ("a", 5)]
+    assert link.n_delivery_events == 1
+
+
 # ---------------------------------------------------------------------------
 # Transaction sizes on the wire: every kind is sized by its one sender
 # ---------------------------------------------------------------------------

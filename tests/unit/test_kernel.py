@@ -129,6 +129,22 @@ def test_run_until_horizon():
     assert k.now == 2.0
 
 
+def test_run_until_behind_now_keeps_the_clock():
+    """A horizon earlier than ``now`` must not move time backwards."""
+    k = SimKernel()
+    fired = []
+    for t in (10.0, 15.0, 20.0):
+        k.call_at(t, lambda t=t: fired.append(t))
+    k.run(until=15.0)
+    k.run(until=5.0)
+    assert k.now == 15.0
+    k.call_at(17.0, lambda: fired.append(17.0))
+    with pytest.raises(SimError):
+        k.call_at(7.0, lambda: None)  # 7.0 is in the past, not the future
+    k.run()
+    assert fired == [10.0, 15.0, 17.0, 20.0]
+
+
 def test_max_events_guard():
     k = SimKernel()
 

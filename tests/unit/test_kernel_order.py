@@ -143,7 +143,7 @@ def _message_storm(kernel, links, batched: bool):
     Every 8th message of a burst is a 64 KiB bulk tensor that serializes,
     the rest are 1 KiB eager messages, so one burst lands at a handful of
     distinct instants.  A batched receiver drains its whole inbox per wake
-    (the ``Endpoint.recv_many`` hand-off); otherwise each message costs
+    (the ``Endpoint.recv_ready`` hand-off); otherwise each message costs
     one at-now resume, like a per-message ``recv``.  Returns
     ``(delivered, final clock, sorted delivery instants)``.
     """

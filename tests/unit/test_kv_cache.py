@@ -68,13 +68,6 @@ class TestSequenceOps:
         assert cache.seq_positions(0) == [0]
         assert cache.seq_positions(1) == []
 
-    def test_seq_keep(self, cache):
-        cache.allocate([(0, {0}), (1, {1}), (2, {0, 1})])
-        cache.seq_keep(0)
-        assert cache.seq_positions(0) == [0, 2]
-        assert cache.seq_positions(1) == []
-        assert cache.n_used == 2
-
     def test_seq_broadcast(self, cache):
         cache.allocate([(0, {5})])
         cache.seq_broadcast(5, 0, 1, targets=[0, 1, 2])

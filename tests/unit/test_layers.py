@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from repro.models.layers import (
-    apply_rope,
-    grouped_attention,
+    apply_rope_tables,
     rms_norm,
     rope_frequencies,
+    rope_tables,
     silu,
-    softmax,
     swiglu,
 )
+
+
+def rotate(x, positions, freqs):
+    """The model's RoPE: one rotor table, one complex multiply."""
+    return apply_rope_tables(x, rope_tables(positions, freqs))
 
 
 class TestNorms:
@@ -25,16 +29,6 @@ class TestNorms:
         x = np.ones((1, 4))
         out = rms_norm(x, 2 * np.ones(4))
         assert np.allclose(out, 2.0, atol=1e-4)
-
-    def test_softmax_sums_to_one(self):
-        x = np.random.default_rng(1).normal(size=(5, 9))
-        assert np.allclose(softmax(x).sum(axis=-1), 1.0)
-
-    def test_softmax_stability(self):
-        x = np.array([1e4, 1e4 + 1.0])
-        out = softmax(x)
-        assert np.all(np.isfinite(out))
-        assert out[1] > out[0]
 
     def test_silu_values(self):
         assert silu(np.array([0.0]))[0] == 0.0
@@ -53,7 +47,7 @@ class TestRoPE:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 2, 8))
         freqs = rope_frequencies(8)
-        rotated = apply_rope(x, np.array([0, 5, 100]), freqs)
+        rotated = rotate(x, np.array([0, 5, 100]), freqs)
         assert np.allclose(
             np.linalg.norm(rotated, axis=-1), np.linalg.norm(x, axis=-1)
         )
@@ -61,7 +55,7 @@ class TestRoPE:
     def test_position_zero_is_identity(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 2, 8))
-        out = apply_rope(x, np.array([0]), rope_frequencies(8))
+        out = rotate(x, np.array([0]), rope_frequencies(8))
         assert np.allclose(out, x)
 
     def test_relative_position_property(self):
@@ -72,47 +66,12 @@ class TestRoPE:
         freqs = rope_frequencies(8)
 
         def dot(m, n):
-            qm = apply_rope(q, np.array([m]), freqs)[0, 0]
-            kn = apply_rope(k, np.array([n]), freqs)[0, 0]
+            qm = rotate(q, np.array([m]), freqs)[0, 0]
+            kn = rotate(k, np.array([n]), freqs)[0, 0]
             return float(qm @ kn)
 
         assert dot(5, 3) == pytest.approx(dot(12, 10), abs=1e-9)
         assert dot(7, 7) == pytest.approx(dot(0, 0), abs=1e-9)
-
-
-class TestAttention:
-    def test_single_cell_returns_value(self):
-        q = np.random.default_rng(5).normal(size=(4, 8))
-        k = np.random.default_rng(6).normal(size=(1, 16))  # 2 kv heads x 8
-        v = np.arange(16, dtype=float).reshape(1, 16)
-        out = grouped_attention(q, k, v, n_kv_heads=2)
-        # With one visible cell, output equals that cell's value per head.
-        assert np.allclose(out[0], v[0, :8])
-        assert np.allclose(out[2], v[0, 8:])
-
-    def test_grouped_heads_share_kv(self):
-        """Query heads in the same group attending uniformly see the same value."""
-        q = np.zeros((4, 8))  # zero queries -> uniform attention weights
-        rng = np.random.default_rng(7)
-        k = rng.normal(size=(3, 16))
-        v = rng.normal(size=(3, 16))
-        out = grouped_attention(q, k, v, n_kv_heads=2)
-        assert np.allclose(out[0], out[1])  # group 0
-        assert np.allclose(out[2], out[3])  # group 1
-        assert not np.allclose(out[0], out[2])
-
-    def test_matches_manual_softmax(self):
-        rng = np.random.default_rng(8)
-        q = rng.normal(size=(2, 4))
-        k = rng.normal(size=(5, 8))
-        v = rng.normal(size=(5, 8))
-        out = grouped_attention(q, k, v, n_kv_heads=2)
-        # Manual computation for head 0 (kv head 0).
-        scores = (k[:, :4] @ q[0]) / 2.0
-        w = np.exp(scores - scores.max())
-        w /= w.sum()
-        expected = w @ v[:, :4]
-        assert np.allclose(out[0], expected)
 
 
 class TestSwiGLU:

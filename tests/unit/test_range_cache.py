@@ -87,13 +87,6 @@ class TestIntervalSet:
     def test_positions(self):
         assert IntervalSet([(1, 3), (7, 8)]).positions() == [1, 2, 7]
 
-    def test_union_into(self):
-        a = IntervalSet([(0, 2)])
-        b = IntervalSet([(1, 5)])
-        a.union_into(b)
-        assert b.intervals() == [(0, 5)]
-
-
 class TestRangeKVCache:
     def test_add_tokens_and_query(self):
         c = RangeKVCache()

@@ -12,7 +12,7 @@ from repro.cluster.kernel import SimError, SimKernel, run_to_completion
 from repro.cluster.testbed import cluster_c
 from repro.comm.message import Tag
 from repro.comm.mpi_sim import Network
-from repro.faults import FaultInjector, FaultPlan, LinkFault
+from repro.faults import FaultInjector, FaultPlan, FaultyLink, LinkFault
 from repro.metrics.collectors import MetricsCollector
 
 
@@ -51,7 +51,12 @@ def test_retransmit_with_exponential_backoff_recovers():
     # past the outage.  A fixed-interval watchdog would have needed five.
     assert metrics.stats.retransmits == 3
     assert metrics.stats.timeouts == 3
-    assert injector.links_lost() == 3  # original + two dead retransmits
+    lost = sum(
+        link.n_lost
+        for link in net.cluster._links.values()
+        if isinstance(link, FaultyLink)
+    )
+    assert lost == 3  # original + two dead retransmits
     assert net._reliable.n_unacked() == 0  # ack cleaned the queue
 
 

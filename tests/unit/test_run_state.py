@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.run_state import RunFIFO, RunKind, RunRecord
 
+from oracles.run_state import find_token_mismatches
+
 
 def spec(run_id, tokens, start):
     return RunRecord(run_id, RunKind.SPECULATIVE, list(tokens), start, seq_id=run_id)
@@ -117,7 +119,7 @@ class TestPaperEquivalence:
         alive = spec(2, [2], 2)       # matches accepted
         f.push(dead)
         f.push(alive)
-        by_tokens = f.find_token_mismatches(accepted)
+        by_tokens = find_token_mismatches(f, accepted)
         assert by_tokens == [dead]
         by_div = f.invalidate_after(3)
         assert by_div == [dead]

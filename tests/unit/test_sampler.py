@@ -6,9 +6,7 @@ import pytest
 from repro.models.oracle import OracleLogits
 from repro.models.sampler import (
     argmax_token,
-    greedy_sample,
     softmax_probs,
-    temperature_sample,
     top_prob,
 )
 
@@ -19,11 +17,6 @@ def test_argmax_dense():
 
 def test_argmax_oracle():
     assert argmax_token(OracleLogits(top_token=42, top_prob=0.9)) == 42
-
-
-def test_greedy_is_argmax():
-    logits = np.array([1.0, 5.0, 2.0])
-    assert greedy_sample(logits) == argmax_token(logits)
 
 
 def test_top_prob_dense():
@@ -38,24 +31,3 @@ def test_softmax_probs_normalized():
     p = softmax_probs(np.array([1.0, 2.0, 3.0]))
     assert p.sum() == pytest.approx(1.0)
     assert np.argmax(p) == 2
-
-
-def test_temperature_zero_is_greedy():
-    rng = np.random.default_rng(0)
-    logits = np.array([0.0, 10.0, 1.0])
-    assert temperature_sample(logits, 0.0, rng) == 1
-
-
-def test_temperature_sampling_distribution():
-    rng = np.random.default_rng(1)
-    logits = np.array([0.0, 2.0])
-    draws = [temperature_sample(logits, 1.0, rng) for _ in range(3000)]
-    frac1 = sum(draws) / len(draws)
-    expected = softmax_probs(logits)[1]
-    assert frac1 == pytest.approx(expected, abs=0.03)
-
-
-def test_temperature_rejects_oracle_logits():
-    rng = np.random.default_rng(2)
-    with pytest.raises(TypeError):
-        temperature_sample(OracleLogits(0, 1.0), 1.0, rng)

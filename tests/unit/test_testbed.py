@@ -85,14 +85,6 @@ class TestTestbeds:
 
 
 class TestTopology:
-    def test_subset(self):
-        c = cluster_c(32).subset(4)
-        assert c.size == 4
-
-    def test_subset_bounds(self):
-        with pytest.raises(ValueError):
-            cluster_a(4).subset(5)
-
     def test_link_requires_bind(self):
         c = cluster_a(2)
         with pytest.raises(RuntimeError):
@@ -107,9 +99,6 @@ class TestTopology:
         c = cluster_a(2).bind(SimKernel())
         assert c.link(0, 1) is c.link(0, 1)
         assert c.link(0, 1) is not c.link(1, 0)
-
-    def test_total_ram(self):
-        assert cluster_a(2).total_ram() == 2 * 128 * GiB
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):

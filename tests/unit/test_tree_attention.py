@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.spec.tree import SpecTree, chain_tree
-from repro.spec.tree_attention import (
-    assign_tree_seqs,
-    branch_seq_of,
-    mask_from_seqs,
-    tree_attention_mask,
-)
+from repro.spec.tree import SpecTree, assign_tree_seqs
+
+from oracles.tree import branch_seq_of, chain_tree, mask_from_seqs, tree_attention_mask
 
 
 def make_tree():

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.models.oracle import OracleLogits
-from repro.spec.tree import chain_tree, SpecTree
-from repro.spec.verify import (
-    stochastic_verify_step,
-    verify_chain,
-    verify_tree,
-)
+from repro.spec.tree import SpecTree
+from repro.spec.verify import verify_chain, verify_tree
+
+from oracles.tree import chain_tree
 
 
 def L(token):
@@ -118,35 +116,3 @@ class TestTreeWalk:
         out = verify_tree(L(5), t, [L(9), L(1)])
         assert out.n_draft_accepted == 1
         assert out.n_draft_checked == 2  # 5 accepted, 6 examined-and-rejected
-
-
-class TestStochasticStep:
-    def test_identical_distributions_always_accept(self):
-        rng = np.random.default_rng(0)
-        logits = np.array([1.0, 2.0, 0.5])
-        for _ in range(50):
-            ok, tok = stochastic_verify_step(logits, logits, 1, rng)
-            assert ok and tok == 1
-
-    def test_marginal_matches_target(self):
-        """Accepted-or-resampled output is distributed per the target —
-        SpecInfer's losslessness guarantee."""
-        rng = np.random.default_rng(1)
-        target = np.log(np.array([0.6, 0.3, 0.1]))
-        draft = np.log(np.array([0.2, 0.5, 0.3]))
-        counts = np.zeros(3)
-        n = 12000
-        for _ in range(n):
-            d = rng.choice(3, p=[0.2, 0.5, 0.3])
-            _, tok = stochastic_verify_step(target, draft, int(d), rng)
-            counts[tok] += 1
-        freq = counts / n
-        assert np.allclose(freq, [0.6, 0.3, 0.1], atol=0.02)
-
-    def test_zero_draft_prob_token(self):
-        rng = np.random.default_rng(2)
-        target = np.array([0.0, 0.0])
-        draft = np.array([100.0, -100.0])
-        ok, tok = stochastic_verify_step(target, draft, 1, rng)
-        # Ratio p/q huge: drafted token always accepted.
-        assert ok and tok == 1
