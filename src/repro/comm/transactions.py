@@ -75,9 +75,10 @@ class TransactionType(enum.IntEnum):
     #: :class:`~repro.comm.payloads.FusedBatch`) carrying several decode
     #: runs and interleaved cache-op batches in dispatch order.  Heads
     #: emit them as dispatch *bursts* (a whole round of runs coalesced at
-    #: the first hop — capped at ``max_fused_runs`` runs per transaction);
-    #: workers fuse whatever waits in their mailbox and forward the window
-    #: as one transaction so downstream stages pay one dispatch per window
+    #: the first hop — capped at ``max_fused_runs`` runs and the
+    #: pipeline's smallest fusion ridge in tokens per transaction); workers
+    #: fuse what waits in their mailbox, up to their own ridge, and forward
+    #: the window as one transaction so downstream stages pay one dispatch per window
     #: instead of one per run.
     FUSED = Tag.FUSED
 

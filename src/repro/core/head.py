@@ -445,28 +445,35 @@ def dispatch_burst(engine, entries) -> List[int]:
     ``entries`` is an ordered list of ``(ctx, rec, states, ops)``: each
     run's record, its per-slot oracle states, and the cache ops that must
     precede it (context materialization — Section IV-C3).  The whole list
-    travels as FUSED transactions of at most ``max_fused_runs`` runs each,
-    every run's ops immediately before it, so the first stage's fusion
-    window sees the burst at once instead of dribbling one run per head
-    iteration.  The per-request FIFOs and the returned req-id order match
-    the entry order, which MPI non-overtaking turns into the logits
-    return order.
+    travels as FUSED transactions, every run's ops immediately before it,
+    so the first stage's fusion window sees the burst at once instead of
+    dribbling one run per head iteration.  A transaction holds at most
+    ``max_fused_runs`` runs, and a new one starts when the next run would
+    push it past the pipeline's smallest fusion ridge
+    (:attr:`~repro.engines.base.BaseEngine.fusion_ridge`): a window is
+    never handed more tokens than its stage evaluates bandwidth-bound.
+    The per-request FIFOs and the returned req-id order match the entry
+    order, which MPI non-overtaking turns into the logits return order.
     """
     cap = engine.config.max_fused_runs
+    ridge = engine.fusion_ridge
     be = engine.backend
     ep = engine.ep()
     first_target = engine.target_ranks()[0]
     rids: List[int] = []
     items: List = []
-    n_runs = 0
+    n_runs = n_tokens = 0
     for ctx, rec, states, ops in entries:
-        if n_runs >= cap:
+        if n_runs >= cap or (
+            n_runs and ridge is not None and n_tokens + len(rec.tokens) > ridge
+        ):
             send_fused(ep, first_target, items)
-            items, n_runs = [], 0
+            items, n_runs, n_tokens = [], 0, 0
         if ops:
             items.append(list(ops))
         items.append(FusedRun(*build_run_payload(be, rec, states)))
         n_runs += 1
+        n_tokens += len(rec.tokens)
         track_dispatch(ctx, rec)
         rids.append(ctx.req_id)
     if items:

@@ -319,6 +319,19 @@ class Backend(ABC):
         ("thread synchronization points", Section IV-D2).
         """
 
+    def fusion_ridge(
+        self, node: NodeSpec, layer_range: Tuple[int, int]
+    ) -> Optional[int]:
+        """Token budget of one fusion window on this stage, or None for no cap.
+
+        The budget is the stage's roofline ridge: below it a wider window
+        streams the same weights and is nearly free, above it every extra
+        token costs compute and the window's oldest run waits for all of
+        them.  A stage whose time does not grow with width has no ridge,
+        hence the default.
+        """
+        return None
+
     @abstractmethod
     def logits_time(self, node: NodeSpec, n_logits: int) -> float:
         """Output-head evaluation time at the last rank."""
@@ -823,6 +836,15 @@ class OracleBackend(Backend):
         return self.target_cost.chunked_stage_times(
             node, hi - lo, n_tokens, PROBE_CHUNK_LAYERS
         )
+
+    def fusion_ridge(self, node, layer_range):
+        # The ridge of the roofline that ``stage_chunks`` charges; a stage
+        # time that does not grow with width has none.
+        if sum(self.stage_chunks(node, layer_range, 2)) <= sum(
+            self.stage_chunks(node, layer_range, 1)
+        ):
+            return None
+        return self.target_cost.fusion_ridge(node)
 
     def logits_time(self, node, n_logits):
         return self.target_cost.output_head_time(node, n_logits)

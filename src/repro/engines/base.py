@@ -62,6 +62,8 @@ class EngineConfig:
     enable_continuous: bool = True
     #: Cap on decode runs a pipeline stage fuses into one cross-run batch
     #: (1 disables multi-run batching; ablation / differential testing).
+    #: Runs stop joining a window sooner once it holds the stage's
+    #: roofline ridge in tokens (:meth:`Backend.fusion_ridge`).
     max_fused_runs: int = DEFAULT_MAX_FUSED_RUNS
     #: Cap on request chains the serving head drafts per batched draft
     #: round (1 restores sequential one-request-at-a-time drafting; the
@@ -182,6 +184,10 @@ class BaseEngine:
         self.stream_hub = None
         self._worker_procs: dict = {}
         self._procs: List = []
+        #: The smallest fusion ridge on the pipeline (None: no stage has
+        #: one), set when the workers spawn.  The head packs its burst
+        #: transactions under it (:func:`repro.core.head.dispatch_burst`).
+        self.fusion_ridge: Optional[int] = None
 
     # -- rank layout (overridden by PipeInfer) --------------------------------
 
@@ -220,6 +226,11 @@ class BaseEngine:
             proc = self._spawn_worker_proc(kernel, i, rank, ws)
             self._worker_procs[rank] = proc
             procs.append(proc)
+        ridges = (
+            self.backend.fusion_ridge(self.cluster.nodes[rank], part)
+            for rank, part in zip(ranks, parts)
+        )
+        self.fusion_ridge = min((r for r in ridges if r is not None), default=None)
         return procs
 
     def _spawn_worker_proc(self, kernel: SimKernel, i: int, rank: int, ws):

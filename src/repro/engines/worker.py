@@ -10,10 +10,11 @@ A worker rank loops on its mailbox:
   order, read from the sender's announcement FIFO
   (:mod:`repro.comm.transactions`), while MPI non-overtaking keeps each
   type's pieces in order (paper Fig. 2);
-- **cancellation signals** (their own tag, eager lane) are recorded
-  whenever they arrive and are also *probed between compute chunks* — the
-  paper's "thread synchronization points" — letting a node abandon a
-  speculative run mid-evaluation (Section IV-D2);
+- **cancellation signals** (their own tag, eager lane) are recorded and
+  relayed upstream the moment they arrive, busy window or not; the skip
+  decision is taken *between compute chunks* — the paper's "thread
+  synchronization points" — letting a node abandon a speculative run
+  mid-evaluation (Section IV-D2);
 - cancelled runs still forward an **empty activation record** downstream
   so message ordering and per-node state stay intact (IV-D2), and the last
   rank still returns a cancelled logits record so the head can pop its
@@ -24,11 +25,15 @@ multibuffering's early cache-entry sharing relies on canonical runs
 completing (IV-D3); only their final sampling is skipped at the head.
 
 **Fusion window** (multi-run batching): instead of evaluating each run's
-1–4-token micro-batch as its own stage pass, a worker drains *every*
-transaction already waiting in its mailbox — decode runs of several
+1–4-token micro-batch as its own stage pass, a worker drains the
+transactions already waiting in its mailbox — decode runs of several
 concurrent speculative/canonical runs (and, in serving mode, of several
-requests), with any cache-op batches interleaved between them — and
-evaluates the live runs as **one fused cross-run batch**: a single stage
+requests), with any cache-op batches interleaved between them — until
+the window holds the stage's roofline ridge in tokens
+(:meth:`~repro.engines.backend.Backend.fusion_ridge`: below it a wider
+batch is nearly free, above it every extra token costs compute and the
+oldest run waits for all of them) or ``max_fuse`` runs, and evaluates
+the live runs as **one fused cross-run batch**: a single stage
 delay charged for the concatenated token count, one masked attention pass
 per layer, then per-run activation records forwarded downstream as a
 single FUSED transaction that preserves the original dispatch order.
@@ -111,34 +116,46 @@ def pipeline_worker(
     #: Flipped when this generator is closed (shutdown or crash): any
     #: window sync-point callbacks still scheduled on the kernel become
     #: no-ops, so a crashed worker stops computing and sending mid-window
-    #: exactly as the historical in-generator chunk loop did.
+    #: exactly as the historical in-generator chunk loop did, and its
+    #: cancel relay stops relaying.
     dead = [False]
+    #: Token budget of one fusion window: the stage's roofline ridge.
+    ridge = backend.fusion_ridge(node, ws.layer_range)
 
     def busy(seconds: float) -> None:
         metrics.add_busy(rank, seconds)
 
-    def record_cancel(run_id: int) -> None:
-        if run_id in cancelled:
-            return
-        cancelled.add(run_id)
-        # Back-propagate toward earlier stages (IV-D2).  The first target
-        # stage's upstream is the head, which originated the signal.
-        if upstream != head_rank:
-            send_cancel(ep, upstream, run_id)
+    def relay_cancels(_msg=None) -> None:
+        """Record every waiting cancel, relay it upstream, and re-arm.
 
-    def drain_cancels() -> None:
-        # Runs at every sync point; nearly all find no cancel waiting.
-        if not ep._n_avail.get(Tag.CANCEL):
+        Runs at each cancel's arrival, busy window or not, so a signal
+        crosses a busy stage in one hop instead of waiting for that
+        stage's next chunk boundary.  The skip decision still waits for a
+        sync point: window callbacks read ``cancelled`` there.
+        """
+        if dead[0]:
             return
         for cmsg in ep.recv_ready(ANY_SOURCE, Tag.CANCEL):
-            record_cancel(cmsg.payload.run_id)
+            run_id = cmsg.payload.run_id
+            if run_id in cancelled:
+                continue
+            cancelled.add(run_id)
+            # Back-propagate toward earlier stages (IV-D2).  The first
+            # target stage's upstream is the head, which originated it.
+            if upstream != head_rank:
+                send_cancel(ep, upstream, run_id)
+        relay = kernel.future(f"cancel-relay@{rank}")
+        relay.set_callback(relay_cancels)
+        ep.post_probe(ANY_SOURCE, Tag.CANCEL, relay)
 
-    # Receiver discipline: wake on payload *pieces* (or out-of-band
-    # cancels) — one park per transaction.  Start markers are announcements,
-    # not messages: a delivered piece proves its sender announced the
-    # transaction, and the sender's announcement FIFO, oldest first, still
-    # sequences dispatch when pieces of different types overtake each other.
-    wake_tags = (Tag.CANCEL, Tag.DECODE, Tag.CACHE_OP, Tag.FUSED, Tag.CONTROL)
+    relay_cancels()
+
+    # Receiver discipline: wake on payload *pieces* — one park per
+    # transaction; cancels never wake the loop (``relay_cancels`` takes
+    # them).  Start markers are announcements, not messages: a delivered
+    # piece proves its sender announced the transaction, and the sender's
+    # announcement FIFO, oldest first, still sequences dispatch when
+    # pieces of different types overtake each other.
     piece_tags = (Tag.DECODE, Tag.CACHE_OP, Tag.FUSED, Tag.CONTROL)
 
     #: True while a fusion window's boundary events are in flight.
@@ -158,10 +175,10 @@ def pipeline_worker(
             return
         gate, need_msg = parked
         gate_box[0] = None
-        if not need_msg or ep.iprobe(ANY_SOURCE, wake_tags):
+        if not need_msg or ep.iprobe(ANY_SOURCE, piece_tags):
             gate.resolve(None)
         else:
-            ep.post_probe(ANY_SOURCE, wake_tags, gate)
+            ep.post_probe(ANY_SOURCE, piece_tags, gate)
 
     try:
         while True:
@@ -169,27 +186,18 @@ def pipeline_worker(
                 gate = kernel.future(gate_label)
                 gate_box[0] = (gate, True)
                 yield gate
-            elif not ep.iprobe(ANY_SOURCE, wake_tags):
-                yield from ep.probe(ANY_SOURCE, wake_tags)
-            drain_cancels()
-            piece = ep.peek(ANY_SOURCE, piece_tags)
-            if piece is not None:
-                # The piece's sender announced its oldest transaction no later
-                # than the piece itself arrived: dispatch that one.
-                src = piece.src
-            elif ep.announced(upstream):
-                # Woken by a cancel after a transaction was announced but
-                # before its payload landed: dispatch it and wait for the
-                # payload, exactly as if its start marker had been received.
-                src = upstream
-            else:
-                continue  # pure-cancel wake: recorded above, nothing else
+            elif not ep.iprobe(ANY_SOURCE, piece_tags):
+                yield from ep.probe(ANY_SOURCE, piece_tags)
+            # The piece's sender announced its oldest transaction no later
+            # than the piece itself arrived: dispatch that one.
+            src = ep.peek(ANY_SOURCE, piece_tags).src
             ttype = ep.take_announcement(src)
 
             # ---- fusion window: drain this transaction plus every one the same
-            # sender has announced by now, in send order ------------------------
+            # sender has announced by now, in send order, until the window
+            # holds ``max_fuse`` runs or ``ridge`` tokens -----------------------
             window: List = []  # FusedRun | List[CacheOp], dispatch order
-            n_runs = 0
+            n_runs = n_tokens = 0
             shutdown = False
             while True:
                 if ttype == TransactionType.SHUTDOWN:
@@ -201,6 +209,7 @@ def pipeline_worker(
                     act: Activations = yield from recv_piece(ep, src, ttype)
                     window.append(FusedRun(meta, act))
                     n_runs += 1
+                    n_tokens += meta.n_tokens
                 elif ttype == TransactionType.CACHE_OP:
                     batch = yield from recv_piece(ep, src, ttype)
                     window.append(batch)
@@ -210,9 +219,14 @@ def pipeline_worker(
                         window.append(item)
                         if isinstance(item, FusedRun):
                             n_runs += 1
+                            n_tokens += item.meta.n_tokens
                 else:  # pragma: no cover - exhaustive enum
                     raise RuntimeError(f"worker {rank}: unknown transaction {ttype}")
-                if n_runs >= max_fuse or not ep.announced(src):
+                if (
+                    n_runs >= max_fuse
+                    or (ridge is not None and n_tokens >= ridge)
+                    or not ep.announced(src)
+                ):
                     break
                 ttype = ep.take_announcement(src)
 
@@ -224,7 +238,7 @@ def pipeline_worker(
                 in_flight[0] = True
                 _schedule_window(
                     kernel, ep, window, backend, ws, node, metrics,
-                    rank, downstream, head_rank, cancelled, busy, drain_cancels,
+                    rank, downstream, head_rank, cancelled, busy,
                     injector, dead, on_window_done,
                 )
 
@@ -244,29 +258,26 @@ def pipeline_worker(
 
 def _schedule_window(
     kernel, ep, window, backend, ws, node, metrics,
-    rank, downstream, head_rank, cancelled, busy, drain_cancels,
+    rank, downstream, head_rank, cancelled, busy,
     injector, dead, on_done,
 ) -> None:
     """Schedule one fusion window's evaluation as kernel events.
 
     The window's timeline is laid out up front: one callback per
-    compute-chunk boundary runs the cancellation sync-point probe (the
-    between-chunk ``drain_cancels`` + skip update the paper calls thread
-    synchronization points), and the final boundary performs the stage
-    compute and forwards the records — all at exactly the simulated
-    instants the historical in-generator chunk loop hit.  ``on_done``
-    fires at the completion instant (synchronously when there is nothing
-    to evaluate and no cache-op apply time); the worker process parks
-    once per window instead of resuming at every chunk.
+    compute-chunk boundary runs the cancellation sync point (the
+    between-chunk skip update the paper calls thread synchronization
+    points: runs whose cancel has landed drop out), and the final
+    boundary performs the stage compute and forwards the records — all at
+    exactly the simulated instants the historical in-generator chunk loop
+    hit.  ``on_done`` fires at the completion instant (synchronously when
+    there is nothing to evaluate and no cache-op apply time); the worker
+    process parks once per window instead of resuming at every chunk.
 
     Every callback is guarded by the worker's ``dead`` flag so a crash
     mid-window abandons the remaining chunks, the compute, and the
     forwards, matching generator close semantics.
     """
     lo, hi = ws.layer_range
-
-    # Drain any cancellation signals that raced ahead of these decodes.
-    drain_cancels()
 
     # Build the compute window, marking runs the stage will not evaluate.
     items: List = []          # StageRun | List[CacheOp], dispatch order
@@ -385,10 +396,10 @@ def _schedule_window(
             kernel.call_at(kernel.now + total + op_delay, whole_window)
             return
         # Cache-op apply time rides the first chunk (no observable event
-        # sits between them); each boundary probes for cancels that landed
-        # while the chunk evaluated.  A cancel mid-fusion splits the batch
-        # logically: the run drops out of the computation but keeps its
-        # slot in the forwarded record order.
+        # sits between them); each boundary drops the runs whose cancel
+        # landed while the chunk evaluated.  A cancel mid-fusion splits the
+        # batch logically: the run drops out of the computation but keeps
+        # its slot in the forwarded record order.
         n_chunks = len(chunks)
         done = [False]
         t = kernel.now + op_delay
@@ -402,7 +413,6 @@ def _schedule_window(
             ) -> None:
                 if done[0] or dead[0]:
                     return
-                drain_cancels()
                 for sr in stage_runs:
                     if (
                         not sr.skip

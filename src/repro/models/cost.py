@@ -20,6 +20,7 @@ memory-efficiency analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from repro.cluster.hardware import NodeSpec
 from repro.models.arch import ArchSpec
@@ -76,15 +77,29 @@ class CostModel:
         )
         return node.effective_flops * eff
 
+    def roofline(self, node: NodeSpec, n_tokens: int) -> Tuple[float, float]:
+        """The two roofline terms of one layer on ``n_tokens``:
+        ``(mem_time, compute_time)``.
+
+        Weights are streamed once per batch and the KV cache is read once
+        per token (attention over the running context), so ``mem_time``
+        barely grows with the batch; arithmetic grows linearly with it at
+        the derated quantized-kernel rate.
+        """
+        a = self.arch
+        mem_bytes = a.active_bytes_per_layer + (
+            n_tokens * self.context * a.kv_bytes_per_token_per_layer
+        )
+        flops = a.flops_per_token_per_layer(self.context) * n_tokens
+        return mem_bytes / self._matvec_bw(node), flops / self._quant_flops(node)
+
     def layer_time(self, node: NodeSpec, n_tokens: int) -> float:
         """Time to evaluate one decoder layer on a batch of ``n_tokens``.
 
-        Roofline over two terms: weights are streamed once per batch
-        (bandwidth term ~independent of batch size), while arithmetic
-        grows linearly with the batch at the derated quantized-kernel
-        rate.  Small batches are bandwidth-bound — the speculative-
-        decoding premise — and batches beyond a handful of tokens turn
-        compute-bound, penalizing oversized speculation batches.
+        The larger of the two :meth:`roofline` terms.  Small batches are
+        bandwidth-bound — the speculative-decoding premise — and batches
+        beyond a handful of tokens turn compute-bound, penalizing
+        oversized speculation batches.
         """
         if n_tokens <= 0:
             raise ValueError("n_tokens must be positive")
@@ -92,18 +107,30 @@ class CostModel:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        a = self.arch
-        # Weights are streamed once per batch; the KV cache is read once
-        # per token (attention over the running context).
-        mem_bytes = a.active_bytes_per_layer + (
-            n_tokens * self.context * a.kv_bytes_per_token_per_layer
-        )
-        mem_time = mem_bytes / self._matvec_bw(node)
-        flops = a.flops_per_token_per_layer(self.context) * n_tokens
-        compute_time = flops / self._quant_flops(node)
-        t = max(mem_time, compute_time)
+        t = max(self.roofline(node, n_tokens))
         self._memo[key] = t
         return t
+
+    def fusion_ridge(self, node: NodeSpec) -> Optional[int]:
+        """The roofline ridge on ``node``: the largest batch whose layer is
+        still bandwidth-bound (``mem_time >= compute_time``), at least 1.
+
+        Up to the ridge a wider batch streams the same weights and costs
+        almost nothing more; past it every extra token costs compute.  On
+        the Xeon E5-2650 a layer is compute-bound from the first token, so
+        its ridge is 1.  ``None`` when compute never overtakes memory
+        traffic (no ridge).
+        """
+        mem1, comp1 = self.roofline(node, 1)
+        mem2, comp2 = self.roofline(node, 2)
+        if comp2 - comp1 <= mem2 - mem1:
+            return None
+        n = 1
+        while True:
+            mem, comp = self.roofline(node, n + 1)
+            if mem < comp:
+                return n
+            n += 1
 
     def stage_time(self, node: NodeSpec, n_layers: int, n_tokens: int) -> float:
         """Time for one pipeline stage: ``n_layers`` plus dispatch overhead."""
