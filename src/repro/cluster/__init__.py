@@ -3,8 +3,8 @@
 This package is the substitute for the paper's physical testbeds (Table II
 and Table IV).  It provides:
 
-- :mod:`repro.cluster.kernel` — a process-interaction discrete-event kernel
-  (generator coroutines over an event heap);
+- :mod:`repro.cluster.kernel` — a discrete-event kernel (callbacks over
+  an at-now FIFO and a timed-event heap, plus parked processes);
 - :mod:`repro.cluster.hardware` — node specifications with a
   memory-bandwidth-dominated compute cost model;
 - :mod:`repro.cluster.interconnect` — link models (Gigabit Ethernet,

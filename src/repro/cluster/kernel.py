@@ -1,13 +1,23 @@
-"""Process-interaction discrete-event simulation kernel.
+"""Discrete-event simulation kernel.
 
-Simulated entities (cluster nodes, links) are Python generator coroutines.
-A process advances simulated time by yielding:
+Events are zero-argument callbacks scheduled at absolute simulated times
+(:meth:`SimKernel.call_at`), or at the current instant after everything
+already queued for it (:meth:`SimKernel.defer`).  The engines run as
+event-driven state machines on top: the serving head and every pipeline
+worker react to message deliveries, timers and future callbacks, and each
+re-enters through an at-now event when something wakes it mid-event.
 
-- :class:`Delay` — resume this process after a fixed simulated duration
-  (models compute occupancy: evaluating transformer layers, serializing a
-  buffer);
-- :class:`Future` — park until another process resolves the future (models
-  blocking receives, link availability).
+Processes remain, as the one place a state machine waits: a
+:class:`Process` is a generator coroutine that advances by yielding
+
+- :class:`Delay` — resume after a fixed simulated duration;
+- :class:`Future` — park until someone resolves the future.
+
+The head and each worker are processes that park exactly once, on a done
+future, so a run costs two resumes per process however much traffic it
+carries; :func:`run_to_completion` reports any process still parked when
+the queues drain.  Hand-written test processes use ``Delay`` and
+``Future`` freely.
 
 Events are totally ordered by ``(time, tiebreak)``.  Time is float seconds.
 Determinism: ties are broken by a monotonically increasing sequence number,
@@ -16,11 +26,11 @@ tests rely on (see ``docs/engine-internals.md``).
 
 Two structures implement that order:
 
-- an **at-now FIFO** (a deque) for the dominant "resume at the current
-  instant" events — future resolutions, zero-delays, spawns.  These are
-  appended and popped in O(1) with no key comparison at all: every at-now
-  event is by construction newer (larger sequence number) than anything
-  already queued for the current instant.
+- an **at-now FIFO** (a deque) for the dominant "run at the current
+  instant" events — deferred re-entries, future resolutions, zero-delays,
+  spawns.  These are appended and popped in O(1) with no key comparison at
+  all: every at-now event is by construction newer (larger sequence
+  number) than anything already queued for the current instant.
 - a **binary heap** (``heapq``) for timed events, keyed by
   ``(time, seq)``.
 
@@ -34,9 +44,6 @@ The test oracle ``tests/oracles/sim_kernel.py::ReferenceSimKernel`` keeps
 every event, at-now ones included, in one heap of closures: the
 differential ordering property test replays random event storms on both
 kernels and asserts identical execution traces.
-
-This is deliberately a small, purpose-built kernel rather than a general
-framework: the engines only need delays, futures, and a notion of "now".
 """
 
 from __future__ import annotations
@@ -145,8 +152,8 @@ class Future:
         The callback fires synchronously inside ``resolve()`` — callers
         that may be resolved mid-event (e.g. arrival watchers firing
         during a delivery batch) should defer their real work with
-        ``kernel.call_at(kernel.now, ...)`` so it runs after the current
-        event completes.  If the future is already resolved, ``fn`` runs
+        :meth:`SimKernel.defer` so it runs after the current event
+        completes.  If the future is already resolved, ``fn`` runs
         immediately.
         """
         if self.resolved:
@@ -249,6 +256,18 @@ class SimKernel:
             self._fifo.append((self._seq, fn, None))
         else:
             heappush(self._heap, (time, self._seq, fn, None))
+
+    def defer(self, fn: Callable[[], None]) -> None:
+        """Schedule ``fn`` at the current instant, after every event already
+        queued for it.
+
+        The event-context form of a process resume: a state machine woken
+        inside an event (by a delivery listener or a future callback)
+        re-enters through here, in the FIFO slot a resumed process would
+        have taken, so it acts only once the current event is complete.
+        """
+        self._seq += 1
+        self._fifo.append((self._seq, fn, None))
 
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule a plain callback ``delay`` seconds from now."""

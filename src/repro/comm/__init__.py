@@ -8,8 +8,9 @@ package reimplements exactly that contract over the discrete-event kernel:
 
 - :mod:`repro.comm.message` — message record and the tag space;
 - :mod:`repro.comm.mpi_sim` — :class:`Network` (one per simulation) and
-  :class:`Endpoint` (one per rank) with buffered sends, blocking receives,
-  probe/iprobe, and per-(src, dst, tag) in-order delivery;
+  :class:`Endpoint` (one per rank) with buffered sends, non-blocking
+  receives and probes, delivery listeners, and per-(src, dst, tag)
+  in-order delivery;
 - :mod:`repro.comm.payloads` — typed payload records with explicit wire
   sizes;
 - :mod:`repro.comm.transactions` — PipeInfer's ordered transaction framing.

@@ -1,4 +1,4 @@
-"""Simulated MPI: buffered sends, blocking receives, probes.
+"""Simulated MPI: buffered sends, non-blocking receives, delivery listeners.
 
 One :class:`Network` exists per simulation; each rank interacts through its
 :class:`Endpoint`.  Semantics implemented (and tested against the MPI 4.1
@@ -24,14 +24,21 @@ standard's wording):
   (:mod:`repro.comm.transactions`) announces every transaction this way
   instead of sending a start message.
 
-Blocking calls are generators: engine code runs inside kernel processes and
-uses ``msg = yield from endpoint.recv(...)``.
+Nothing here blocks.  Receivers are event-driven state machines: they take
+what is available (:meth:`Endpoint.try_recv`, :meth:`Endpoint.recv_ready`)
+and otherwise arm a **delivery listener** (:meth:`Endpoint.listen`), a
+callback the endpoint runs at the delivery of the next matching message,
+inside the delivery event, after the ordering rules above have released
+it.  A consuming listener takes the message at delivery, as a receive
+parked on it would; a non-consuming one leaves it available, as a probe
+would.  A listener that needs to act at the instant's end (as a resumed
+receiver would) defers itself with an at-now kernel event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.cluster.kernel import SimKernel
 from repro.cluster.topology import Cluster
@@ -39,27 +46,10 @@ from repro.comm.message import ANY_SOURCE, ANY_TAG, Message
 
 
 def _tag_matches(tag_filter, tag: int) -> bool:
-    """True when ``tag`` satisfies a filter: ANY_TAG, an int, or a tuple."""
-    if isinstance(tag_filter, (tuple, frozenset, set, list)):
+    """True when ``tag`` satisfies a filter: ANY_TAG, a tag, or a tuple of tags."""
+    if tag_filter.__class__ is tuple:
         return tag in tag_filter
-    return tag_filter in (ANY_TAG, tag)
-
-
-class _RecvRequest:
-    """A parked receive (or probe) awaiting a matching message."""
-
-    __slots__ = ("source", "tag", "future", "consume")
-
-    def __init__(self, source: int, tag, future, consume: bool) -> None:
-        self.source = source
-        self.tag = tag
-        self.future = future
-        self.consume = consume
-
-    def matches(self, msg: Message) -> bool:
-        return (self.source in (ANY_SOURCE, msg.src)) and _tag_matches(
-            self.tag, msg.tag
-        )
+    return tag_filter == ANY_TAG or tag_filter == tag
 
 
 class Endpoint:
@@ -74,15 +64,17 @@ class Endpoint:
         self._stash: Dict[Tuple[int, int], Dict[int, Message]] = {}
         #: Next expected sequence number per (src, tag).
         self._expected: Dict[Tuple[int, int], int] = {}
-        #: Parked receives/probes in arrival order of the requests.
-        self._pending: List[_RecvRequest] = []
+        #: Delivery listeners by tag: ``(fn, source, consume, standing,
+        #: tags)``; a listener on several tags is stored under each.
+        self._listeners: Dict[int, Tuple[Callable, int, bool, bool, tuple]] = {}
         #: Futures resolved on the next delivery of *any* message.
         self._arrival_watchers: List[Any] = []
-        #: Available-message count per tag: lets ``iprobe`` answer the
-        #: common no-match case in O(1) instead of scanning the deque.
-        #: Workers re-probe for cancels between every compute chunk and
-        #: heads poll for logits between draft passes, so with fused
-        #: dispatch the probe path runs far more often than it matches.
+        #: Available-message count per tag: lets ``iprobe`` and
+        #: ``try_recv`` answer the common no-match case in O(1) instead of
+        #: scanning the deque.  The head probes for logits after every
+        #: draft round and a worker probes for its next transaction after
+        #: every window, so the probe path runs far more often than it
+        #: matches.
         self._n_avail: Dict[int, int] = {}
         #: Pending announcements per sender, oldest first:
         #: ``(announce_at, kind)``.
@@ -148,49 +140,86 @@ class Endpoint:
         """
         return self._announced[source].popleft()[1]
 
-    def recv(
-        self, source: int = ANY_SOURCE, tag=ANY_TAG
-    ) -> Generator[Any, Any, Message]:
-        """Blocking receive (generator).  Use as ``msg = yield from ep.recv()``.
+    def try_recv(self, source: int = ANY_SOURCE, tag=ANY_TAG) -> Optional[Message]:
+        """Non-blocking receive: consume and return the earliest matching
+        available message, or ``None``."""
+        single = tag.__class__ is not tuple and tag != ANY_TAG
+        if not self._available or (single and not self._n_avail.get(tag)):
+            return None
+        for i, msg in enumerate(self._available):
+            if (msg.tag == tag if single else _tag_matches(tag, msg.tag)) and (
+                source == ANY_SOURCE or source == msg.src
+            ):
+                del self._available[i]
+                self._n_avail[msg.tag] -= 1
+                trace = self._net.trace
+                if trace is not None:
+                    trace.append((self.rank, msg.src, msg.tag, msg.seq))
+                return msg
+        return None
 
-        ``tag`` may be ANY_TAG, a single tag, or a tuple of acceptable tags
-        (the receiver-discipline equivalent of posting several receives).
+    def listen(
+        self,
+        tag,
+        fn: Callable[[Message], None],
+        source: int = ANY_SOURCE,
+        consume: bool = False,
+        standing: bool = False,
+    ) -> None:
+        """Run ``fn(msg)`` at the delivery of the next message on ``tag``.
+
+        ``tag`` is one tag or a tuple of tags (not ``ANY_TAG``); a message
+        from another sender than ``source`` passes the listener by.  The
+        listener fires inside the delivery event, once non-overtaking and
+        the early-arrival stash have released the message, and before the
+        arrival watchers are notified:
+
+        - ``consume``: the listener takes the message, which never becomes
+          available, and the consumption trace records it at delivery —
+          a receive parked on the message.  Otherwise the message is made
+          available first and stays so — a probe.
+        - ``standing``: the listener stays armed for every later delivery
+          until :meth:`unlisten`; otherwise it fires once, and all of its
+          tags are disarmed together.
+
+        Messages already available do not fire a listener: check with
+        :meth:`try_recv` or :meth:`iprobe` first.  Each tag holds at most
+        one listener.  A crash (:meth:`reset_after_crash`) disarms all.
         """
-        msg = self._take(source, tag)
-        if msg is not None:
-            return msg
-        fut = self._net.kernel.future(f"recv@{self.rank}")
-        fut.detail = ("recv", source, tag, self.rank)
-        self._pending.append(_RecvRequest(source, tag, fut, consume=True))
-        msg = yield fut
-        return msg
+        tags = tag if tag.__class__ is tuple else (tag,)
+        if ANY_TAG in tags:
+            raise ValueError("a listener needs explicit tags, not ANY_TAG")
+        listeners = self._listeners
+        entry = (fn, source, consume, standing, tags)
+        for i, t in enumerate(tags):
+            if listeners.setdefault(t, entry) is not entry:
+                for armed in tags[:i]:
+                    del listeners[armed]
+                raise ValueError(f"rank {self.rank}: tag {t} already has a listener")
 
-    def recv_ready(self, source: int = ANY_SOURCE, tag=ANY_TAG, limit=None):
+    def unlisten(self, tag) -> None:
+        """Disarm the listener on ``tag`` (and its other tags), if any."""
+        entry = self._listeners.get(tag)
+        if entry is not None:
+            for t in entry[4]:
+                del self._listeners[t]
+
+    def recv_ready(self, source: int = ANY_SOURCE, tag=ANY_TAG) -> List[Message]:
         """Consume and return every available matching message, in order.
 
-        Non-blocking and not a generator — callable from plain (non-process)
-        code.  Returns ``[]`` when nothing matches.  This is the batch half
-        of the inbox hand-off: one parked resume wakes the receiver, then a
-        single ``recv_ready`` drains the whole same-instant delivery batch
-        without further generator steps.
+        Returns ``[]`` when nothing matches.  This is the batch half of
+        the inbox hand-off: one wake-up of the receiver, then a single
+        ``recv_ready`` drains the whole same-instant delivery batch.
         """
-        if not self._available:
-            return []
-        if (
-            tag != ANY_TAG
-            and not isinstance(tag, (tuple, frozenset, set, list))
-            and not self._n_avail.get(tag)
+        if not self._available or (
+            tag.__class__ is not tuple and tag != ANY_TAG and not self._n_avail.get(tag)
         ):
             return []
         out: List[Message] = []
         keep: List[Message] = []
         n_avail = self._n_avail
         for msg in self._available:
-            if (
-                (limit is None or len(out) < limit)
-                and (source in (ANY_SOURCE, msg.src))
-                and _tag_matches(tag, msg.tag)
-            ):
+            if (source == ANY_SOURCE or source == msg.src) and _tag_matches(tag, msg.tag):
                 out.append(msg)
                 n_avail[msg.tag] -= 1
             else:
@@ -205,29 +234,6 @@ class Endpoint:
                 )
         return out
 
-    def probe(
-        self, source: int = ANY_SOURCE, tag=ANY_TAG
-    ) -> Generator[Any, Any, Message]:
-        """Blocking probe: waits for a match, returns it *without* consuming."""
-        msg = self.peek(source, tag)
-        if msg is not None:
-            return msg
-        fut = self._net.kernel.future(f"probe@{self.rank}")
-        fut.detail = ("probe", source, tag, self.rank)
-        self._pending.append(_RecvRequest(source, tag, fut, consume=False))
-        msg = yield fut
-        return msg
-
-    def post_probe(self, source: int, tag, fut) -> None:
-        """Post a non-consuming probe resolving ``fut`` with the next
-        matching delivery — the event-context counterpart of
-        :meth:`probe`, for receivers parking on a future from plain
-        (non-process) code such as a window-completion callback.  The
-        caller must have checked :meth:`iprobe` first: an
-        already-available match will not resolve the future.
-        """
-        self._pending.append(_RecvRequest(source, tag, fut, consume=False))
-
     def peek(self, source: int = ANY_SOURCE, tag=ANY_TAG) -> Optional[Message]:
         """Non-blocking probe returning the earliest matching available
         message without consuming it, or ``None``."""
@@ -239,34 +245,28 @@ class Endpoint:
     def iprobe(self, source: int = ANY_SOURCE, tag=ANY_TAG) -> bool:
         """Non-blocking probe: True when a matching message is available.
 
-        The empty-mailbox and no-message-with-this-tag cases — the vast
+        The empty-mailbox and no-message-with-these-tags cases — the vast
         majority of probes — answer from the per-tag counts without
-        touching the deque; only a plausible match falls back to the scan.
+        touching the deque, and so does any match from ``ANY_SOURCE``;
+        only a source filter over a plausible match falls back to the scan.
         """
         if not self._available:
             return False
-        if isinstance(tag, (tuple, frozenset, set, list)):
-            if all(self._n_avail.get(t, 0) == 0 for t in tag):
-                return False
-        elif tag != ANY_TAG:
-            if self._n_avail.get(tag, 0) == 0:
+        if tag != ANY_TAG:
+            n_avail = self._n_avail
+            if tag.__class__ is tuple:
+                for t in tag:
+                    if n_avail.get(t):
+                        break
+                else:
+                    return False
+            elif not n_avail.get(tag):
                 return False
             if source == ANY_SOURCE:
                 return True
         return self.peek(source, tag) is not None
 
     # -- internals -----------------------------------------------------------
-
-    def _take(self, source: int, tag) -> Optional[Message]:
-        for i, msg in enumerate(self._available):
-            if (source in (ANY_SOURCE, msg.src)) and _tag_matches(tag, msg.tag):
-                del self._available[i]
-                self._n_avail[msg.tag] -= 1
-                trace = self._net.trace
-                if trace is not None:
-                    trace.append((self.rank, msg.src, msg.tag, msg.seq))
-                return msg
-        return None
 
     def _deliver(self, msg: Message) -> None:
         """Called by the network at arrival time: enforce ordering, match."""
@@ -286,7 +286,7 @@ class Endpoint:
             # copy if a duplicate of a stashed seq arrives.
             self._stash.setdefault(key, {}).setdefault(msg.seq, msg)
             return
-        self._make_available(msg)
+        self._make_available(msg, key)
         # Drain any stashed successors that are now in order.
         stash = self._stash.get(key)
         while stash:
@@ -294,15 +294,15 @@ class Endpoint:
             msg2 = stash.pop(nxt, None)
             if msg2 is None:
                 break
-            self._make_available(msg2)
+            self._make_available(msg2, key)
         if reliable is not None:
             reliable.on_accept(msg.src, self.rank, msg.tag, self._expected[key])
 
     def reset_after_crash(self) -> None:
         """Forget all communication state after the owning rank crashes.
 
-        Pending receives, stashed arrivals, undelivered available
-        messages and pending announcements die with the process.  The
+        Listeners, stashed arrivals, undelivered available messages and
+        pending announcements die with the process.  The
         expected sequence numbers jump forward to the *sender-side*
         counters, so every pre-crash in-flight message (including
         retransmits of lost ones) arrives stale, is dropped, and is
@@ -312,7 +312,7 @@ class Endpoint:
         """
         self._available.clear()
         self._stash.clear()
-        self._pending.clear()
+        self._listeners.clear()
         self._arrival_watchers.clear()
         self._n_avail.clear()
         self._announced.clear()
@@ -321,27 +321,31 @@ class Endpoint:
             if dst == self.rank:
                 self._expected[(src, tag)] = seq
 
-    def _make_available(self, msg: Message) -> None:
+    def _make_available(self, msg: Message, key: Tuple[int, int]) -> None:
+        """Release the in-order message of stream ``key``: to its listener,
+        else into the mailbox; then wake the arrival watchers."""
         net = self._net
-        key = (msg.src, msg.tag)
         self._expected[key] = msg.seq + 1
         msg.delivered_at = net.kernel.now
         net.n_delivered += 1
-        # Hand directly to the oldest matching parked request, if any.
-        for i, req in enumerate(self._pending):
-            if req.matches(msg):
-                del self._pending[i]
-                if not req.consume:
-                    self._available.append(msg)
-                    self._n_avail[msg.tag] = self._n_avail.get(msg.tag, 0) + 1
-                elif net.trace is not None:
-                    net.trace.append((self.rank, msg.src, msg.tag, msg.seq))
-                req.future.resolve(msg)
-                self._notify_watchers()
-                return
-        self._available.append(msg)
-        self._n_avail[msg.tag] = self._n_avail.get(msg.tag, 0) + 1
-        self._notify_watchers()
+        tag = msg.tag
+        listener = self._listeners.get(tag)
+        if listener is not None and listener[1] in (ANY_SOURCE, msg.src):
+            fn, _, consume, standing, tags = listener
+            if not standing:
+                for t in tags:
+                    del self._listeners[t]
+            if not consume:
+                self._available.append(msg)
+                self._n_avail[tag] = self._n_avail.get(tag, 0) + 1
+            elif net.trace is not None:
+                net.trace.append((self.rank, msg.src, tag, msg.seq))
+            fn(msg)
+        else:
+            self._available.append(msg)
+            self._n_avail[tag] = self._n_avail.get(tag, 0) + 1
+        if self._arrival_watchers:
+            self._notify_watchers()
 
     def _notify_watchers(self) -> None:
         watchers, self._arrival_watchers = self._arrival_watchers, []
@@ -389,15 +393,7 @@ class Network:
         key = (src, dst, tag)
         seq = self._seq.get(key, 0)
         self._seq[key] = seq + 1
-        msg = Message(
-            src=src,
-            dst=dst,
-            tag=tag,
-            payload=payload,
-            nbytes=nbytes,
-            seq=seq,
-            sent_at=self.kernel.now,
-        )
+        msg = Message(src, dst, tag, payload, nbytes, seq, self.kernel.now)
         self.n_sent += 1
         self.bytes_sent += nbytes
         link = self.cluster.link(src, dst)

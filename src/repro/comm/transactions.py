@@ -50,7 +50,7 @@ the head stamps when it builds the run.
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.comm.message import Tag
 from repro.comm.mpi_sim import Endpoint
@@ -165,8 +165,3 @@ def send_cancel(ep: Endpoint, dest: int, run_id: int) -> None:
     """Cancel signal for ``run_id`` on its own tag, on the eager lane."""
     ep.send(CancelMsg(run_id), dest, Tag.CANCEL, nbytes=CancelMsg.nbytes, eager=True)
 
-
-def recv_piece(ep: Endpoint, source: int, ttype: TransactionType) -> Generator[Any, Any, Any]:
-    """Receive one payload piece of an in-progress transaction."""
-    msg = yield from ep.recv(source, int(ttype))
-    return msg.payload

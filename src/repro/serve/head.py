@@ -431,7 +431,7 @@ def serving_head(engine, scheduler: RequestScheduler) -> Generator:
         """
         fut = kernel.future(f"arrival@{ep.rank}")
         fut.detail = f"arrival watch at rank {ep.rank}"
-        fut.set_callback(lambda _v: kernel.call_at(kernel.now, step))
+        fut.set_callback(lambda _v: kernel.defer(step))
         ep._arrival_watchers.append(fut)
         if until is not None:
 

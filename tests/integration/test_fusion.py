@@ -30,6 +30,7 @@ from repro.models.zoo import get_pair
 from repro.serve.run import run_serving
 from repro.spec.draft import DraftParams
 from repro.workloads import make_prompt, poisson_arrivals
+from oracles.blocking import recv
 from tests.conftest import PROMPT
 from tests.integration.test_worker_protocol import decode_pieces
 
@@ -147,7 +148,7 @@ class TestMidFusionCancellation:
             yield Delay(0.29)
             ep.send(CancelMsg(3), 1, Tag.CANCEL, nbytes=16.0, eager=True)
             for _ in range(3):
-                msg = yield from ep.recv(1, Tag.LOGITS)
+                msg = yield from recv(ep, 1, Tag.LOGITS)
                 got.append(msg.payload)
             send_transaction(ep, 1, TransactionType.SHUTDOWN,
                              [(ShutdownMsg(), 8.0)], eager=True)

@@ -15,9 +15,10 @@ single-job PipeInfer generations through :func:`run_engine` and compares
   decays (``cutoff_decay=0``: a halted draft never clears by itself);
 - one job on the functional backend (real tiny-transformer math).
 
-A second test pins the head's event economy: on every Figure 4 cell the
-whole simulation resumes its processes fewer times than it delivers
-messages, which a head that polls on a timer cannot do.
+Two more tests pin the event economy on every Figure 4 cell: the whole
+simulation resumes its processes fewer times than it delivers messages,
+which a head that polls on a timer cannot do, and at most twice per
+process, which holds only while the head and every worker park once.
 
 Floats compare exactly (JSON round-trips a Python float bit for bit);
 NaN and infinities are stored as strings so they compare equal to
@@ -165,15 +166,9 @@ def test_report_matches_golden(name, golden):
         pytest.fail(f"{name}: report diverged from golden in {diffs}")
 
 
-@pytest.mark.parametrize("index", range(len(FIG4_CELLS)))
-def test_head_does_not_poll(index):
-    """Fewer process resumes than delivered messages, whole simulation.
-
-    Built the way :func:`run_engine` builds it, so the kernel and network
-    counters are readable.  Every head wake-up is caused by a message, the
-    end of a draft round or a sampling delay; a timed poll costs a resume
-    per tick, hundreds per message on small clusters.
-    """
+def _drained_cell(index: int) -> Replica:
+    """Fig. 4 cell ``index`` served to completion the way :func:`run_engine`
+    serves it, on a replica whose kernel and network stay readable."""
     key, n = FIG4_CELLS[index]
     backend, cluster, job = _cell(key, n, index)
     replica = Replica(0, PipeInferEngine, backend, cluster)
@@ -182,11 +177,41 @@ def test_head_does_not_poll(index):
     replica.drain()
     (request,) = replica.engine.request_reports
     assert len(request.tokens) == N_GENERATE
+    return replica
+
+
+@pytest.mark.parametrize("index", range(len(FIG4_CELLS)))
+def test_head_does_not_poll(index):
+    """Fewer process resumes than delivered messages, whole simulation.
+
+    Every head wake-up is caused by a message, the end of a draft round or
+    a sampling delay; a timed poll costs a resume per tick, hundreds per
+    message on small clusters.
+    """
+    key, n = FIG4_CELLS[index]
+    replica = _drained_cell(index)
     kernel, network = replica.kernel, replica.network
     ratio = kernel.n_resumes / network.n_delivered
     assert ratio < 1.0, (
         f"{key}/{n}: {kernel.n_resumes} resumes for "
         f"{network.n_delivered} delivered messages ({ratio:.2f})"
+    )
+
+
+@pytest.mark.parametrize("index", range(len(FIG4_CELLS)))
+def test_every_process_parks_once(index):
+    """At most two resumes per spawned process, whatever the traffic.
+
+    The head and every pipeline worker are event-driven state machines:
+    each process runs its first step, parks once on a done future, and
+    resumes once more to finish.  A process that parked per message or
+    per transaction would resume thousands of times on these cells.
+    """
+    key, n = FIG4_CELLS[index]
+    kernel = _drained_cell(index).kernel
+    n_procs = len(kernel._processes)
+    assert kernel.n_resumes <= 2 * n_procs, (
+        f"{key}/{n}: {kernel.n_resumes} resumes for {n_procs} processes"
     )
 
 

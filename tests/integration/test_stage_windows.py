@@ -17,6 +17,7 @@ from repro.engines.worker import pipeline_worker
 from repro.metrics.collectors import MetricsCollector
 from repro.models.zoo import get_pair
 from repro.pipeline.partition import partition_for
+from oracles.blocking import recv
 from tests.integration.test_fusion import SlowStageBackend
 from tests.integration.test_worker_protocol import decode_pieces
 
@@ -69,7 +70,7 @@ class TestRidgeWindow:
         def stage_2():
             ep = net.endpoint(2)
             while sum(len(ids) for _, ids in windows) < len(runs):
-                msg = yield from ep.recv(1, Tag.FUSED)
+                msg = yield from recv(ep, 1, Tag.FUSED)
                 windows.append(
                     (msg.sent_at, [it.meta.run_id for it in msg.payload.items])
                 )
@@ -121,7 +122,7 @@ class TestCancelRelay:
             ep = net.endpoint(1)
             send_transaction(ep, 2, TransactionType.DECODE,
                              decode_pieces(backend, 4, [5, 6], 3, 2, True, CHAIN))
-            msg = yield from ep.recv(2, Tag.CANCEL)
+            msg = yield from recv(ep, 2, Tag.CANCEL)
             relayed.append(msg)
             shutdown(ep, 2)
 
@@ -131,7 +132,7 @@ class TestCancelRelay:
             # cancel lands between its chunk boundaries.
             yield Delay(0.07)
             sent.append(ep.send(CancelMsg(4), 2, Tag.CANCEL, nbytes=16.0, eager=True))
-            yield from ep.recv(2, Tag.LOGITS)
+            yield from recv(ep, 2, Tag.LOGITS)
 
         procs = [proc, kernel.spawn(stage_1(), name="stage-1"),
                  kernel.spawn(head(), name="head")]
@@ -173,7 +174,7 @@ class TestCancelRelay:
         def stage_1():
             ep = net.endpoint(1)
             while True:
-                msg = yield from ep.recv(2, Tag.CANCEL)
+                msg = yield from recv(ep, 2, Tag.CANCEL)
                 relayed.append((kernel.now, msg.payload.run_id))
                 if msg.payload.run_id == 8:
                     return
@@ -186,3 +187,20 @@ class TestCancelRelay:
         # relays the next one on arrival.
         assert [rid for _, rid in relayed] == [7, 8]
         assert relayed[0][0] > 0.11
+
+    def test_shut_down_worker_relays_nothing_and_listens_no_more(self):
+        """After its shutdown a worker leaves a late cancel in its mailbox:
+        the relay is disarmed with the worker, not left to fire."""
+        kernel = SimKernel()
+        cluster = cluster_c(3)
+        net = Network(kernel, cluster)
+        backend = OracleBackend(get_pair("dolphin+tinyllama"), head_node=cluster.nodes[0])
+        proc = spawn_worker(kernel, net, backend, 2, 1, None, (0, 8))
+        shutdown(net.endpoint(1), 2)
+        run_to_completion(kernel, [proc])
+        ep = net.endpoint(2)
+        assert not ep._listeners
+        net.endpoint(0).send(CancelMsg(5), 2, Tag.CANCEL, nbytes=16.0, eager=True)
+        kernel.run()
+        assert ep.iprobe(0, Tag.CANCEL)
+        assert not net.endpoint(1).iprobe(2, Tag.CANCEL)

@@ -19,6 +19,7 @@ from repro.engines.backend import OracleBackend
 from repro.engines.worker import pipeline_worker
 from repro.metrics.collectors import MetricsCollector
 from repro.models.zoo import get_pair
+from oracles.blocking import recv
 
 
 def setup_worker(n_nodes=2):
@@ -60,7 +61,7 @@ def test_worker_returns_logits_then_shuts_down():
         chain_tokens = [1, 2, 3]
         send_transaction(ep, 1, TransactionType.DECODE,
                          decode_pieces(backend, 7, [3], 2, 0, False, chain_tokens))
-        msg = yield from ep.recv(1, Tag.LOGITS)
+        msg = yield from recv(ep, 1, Tag.LOGITS)
         got.append(msg.payload)
         send_transaction(ep, 1, TransactionType.SHUTDOWN, [(ShutdownMsg(), 8.0)],
                          eager=True)
@@ -86,7 +87,7 @@ def test_cancel_before_decode_skips_speculative_run():
         # The chain includes the drafted tokens, as on the real head.
         send_transaction(ep, 1, TransactionType.DECODE,
                          decode_pieces(backend, 9, [5, 6], 3, 2, True, [1, 2, 3, 5, 6]))
-        msg = yield from ep.recv(1, Tag.LOGITS)
+        msg = yield from recv(ep, 1, Tag.LOGITS)
         got.append(msg.payload)
         send_transaction(ep, 1, TransactionType.SHUTDOWN, [(ShutdownMsg(), 8.0)],
                          eager=True)
@@ -112,7 +113,7 @@ def test_cancel_never_skips_canonical_run():
         yield Delay(0.01)
         send_transaction(ep, 1, TransactionType.DECODE,
                          decode_pieces(backend, 4, [3], 2, 0, False, [1, 2, 3]))
-        msg = yield from ep.recv(1, Tag.LOGITS)
+        msg = yield from recv(ep, 1, Tag.LOGITS)
         got.append(msg.payload)
         send_transaction(ep, 1, TransactionType.SHUTDOWN, [(ShutdownMsg(), 8.0)],
                          eager=True)
@@ -133,7 +134,7 @@ def test_cache_op_transaction_applied():
         ops = [CacheOp(CacheOpKind.SEQ_CP, 0, 5, 0, 10)]
         send_transaction(ep, 1, TransactionType.CACHE_OP,
                          [(ops, 32.0)], eager=True)
-        yield from ep.recv(1, Tag.LOGITS)
+        yield from recv(ep, 1, Tag.LOGITS)
         send_transaction(ep, 1, TransactionType.SHUTDOWN, [(ShutdownMsg(), 8.0)],
                          eager=True)
 

@@ -24,5 +24,9 @@ with the same inputs and asserts the same observable behaviour.
   and the drafter's cursor trees;
 - :func:`~oracles.run_state.find_token_mismatches`: the paper's literal
   token-wise invalidation scan, against
-  ``repro.core.run_state.RunFIFO.invalidate_after``.
+  ``repro.core.run_state.RunFIFO.invalidate_after``;
+- :func:`~oracles.blocking.recv` and :func:`~oracles.blocking.probe`:
+  the parked MPI receive and probe, built on the delivery listeners that
+  replaced them in ``repro.comm.mpi_sim.Endpoint``, for tests that script
+  a pipeline neighbour as a generator process.
 """

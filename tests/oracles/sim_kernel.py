@@ -47,6 +47,9 @@ class ReferenceSimKernel:
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         self.call_at(self.now + delay, fn)
 
+    def defer(self, fn: Callable[[], None]) -> None:
+        self._push(self.now, fn)
+
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         while self._heap:
             if until is not None and self._heap[0][0] > until:

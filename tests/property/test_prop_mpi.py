@@ -1,10 +1,14 @@
-"""MPI ordering properties under randomized traffic."""
+"""MPI ordering properties under randomized traffic.
+
+The receiver is a standing consuming listener on every tag the plan uses,
+the way the pipeline worker takes its cancels: it sees each message at the
+delivery that non-overtaking releases it at.
+"""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.kernel import SimKernel, run_to_completion
+from repro.cluster.kernel import SimKernel
 from repro.cluster.testbed import cluster_a
-from repro.comm.message import ANY_SOURCE, ANY_TAG
 from repro.comm.mpi_sim import Network
 
 # Random message plans: (tag, nbytes).  Mixed sizes force both link lanes.
@@ -15,81 +19,44 @@ messages = st.lists(
 )
 
 
+def deliver(plan):
+    """Send ``plan`` from rank 0 to rank 1 at t=0; return the messages
+    rank 1's listener took, in the order it took them."""
+    k = SimKernel()
+    net = Network(k, cluster_a(2))
+    received = []
+    net.endpoint(1).listen((1, 2, 3), received.append, consume=True, standing=True)
+    ep = net.endpoint(0)
+    for i, (tag, nbytes) in enumerate(plan):
+        ep.send(i, 1, tag, nbytes=nbytes)
+    k.run()
+    assert not net.endpoint(1)._available  # every message was taken
+    return received, net
+
+
 @settings(max_examples=60, deadline=None)
 @given(messages)
 def test_per_tag_fifo_order(plan):
     """For every (src, dst, tag) stream, receive order equals send order,
     regardless of lane races between streams."""
-    k = SimKernel()
-    net = Network(k, cluster_a(2))
-    received: list[tuple[int, int]] = []
-
-    def sender():
-        ep = net.endpoint(0)
-        for i, (tag, nbytes) in enumerate(plan):
-            ep.send(i, 1, tag, nbytes=nbytes)
-        yield from ()
-
-    def receiver():
-        ep = net.endpoint(1)
-        for _ in plan:
-            msg = yield from ep.recv(ANY_SOURCE, ANY_TAG)
-            received.append((msg.tag, msg.payload))
-
-    procs = [k.spawn(sender()), k.spawn(receiver())]
-    run_to_completion(k, procs)
-
+    received, _ = deliver(plan)
     assert len(received) == len(plan)
     for tag in {t for t, _ in plan}:
         sent_ids = [i for i, (t, _) in enumerate(plan) if t == tag]
-        recv_ids = [i for t, i in received if t == tag]
+        recv_ids = [msg.payload for msg in received if msg.tag == tag]
         assert recv_ids == sent_ids
 
 
 @settings(max_examples=40, deadline=None)
 @given(messages)
 def test_no_message_lost_or_duplicated(plan):
-    k = SimKernel()
-    net = Network(k, cluster_a(2))
-    got = []
-
-    def sender():
-        ep = net.endpoint(0)
-        for i, (tag, nbytes) in enumerate(plan):
-            ep.send(i, 1, tag, nbytes=nbytes)
-        yield from ()
-
-    def receiver():
-        ep = net.endpoint(1)
-        for _ in plan:
-            msg = yield from ep.recv()
-            got.append(msg.payload)
-
-    procs = [k.spawn(sender()), k.spawn(receiver())]
-    run_to_completion(k, procs)
-    assert sorted(got) == list(range(len(plan)))
+    received, _ = deliver(plan)
+    assert sorted(msg.payload for msg in received) == list(range(len(plan)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(messages)
 def test_delivery_times_not_before_latency(plan):
-    k = SimKernel()
-    net = Network(k, cluster_a(2))
+    received, net = deliver(plan)
     latency = net.cluster.link_spec.latency
-    stamps = []
-
-    def sender():
-        ep = net.endpoint(0)
-        for i, (tag, nbytes) in enumerate(plan):
-            ep.send(i, 1, tag, nbytes=nbytes)
-        yield from ()
-
-    def receiver():
-        ep = net.endpoint(1)
-        for _ in plan:
-            msg = yield from ep.recv()
-            stamps.append(msg.delivered_at - msg.sent_at)
-
-    procs = [k.spawn(sender()), k.spawn(receiver())]
-    run_to_completion(k, procs)
-    assert all(dt >= latency for dt in stamps)
+    assert all(msg.delivered_at - msg.sent_at >= latency for msg in received)

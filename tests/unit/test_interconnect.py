@@ -35,6 +35,7 @@ from repro.core.run_state import RunKind, RunRecord
 from repro.engines.worker import pipeline_worker
 from repro.metrics.collectors import MetricsCollector
 from repro.util.units import Gbps, us
+from oracles.blocking import recv
 
 
 def make_link(spec):
@@ -240,9 +241,9 @@ def test_hand_driven_window_piece_sizes(wire):
         send_decode(
             ep, 1, *build_run_payload(be, prefill, be.slot_states(chain, 0, 3), False)
         )
-        yield from ep.recv(2, Tag.LOGITS)
+        yield from recv(ep, 2, Tag.LOGITS)
         send_fused(ep, 1, burst)
-        yield from ep.recv(2, Tag.LOGITS)
+        yield from recv(ep, 2, Tag.LOGITS)
         send_cache_ops(ep, 1, ops[:1])
         send_cancel(ep, 2, 99)
         yield Delay(0.01)  # the cancel relays back to the first stage

@@ -4,8 +4,9 @@ The kernel's determinism contract is that execution order is exactly
 ascending ``(time, seq)`` — byte-identical to the one-heap kernel kept as
 the test oracle :class:`ReferenceSimKernel`, which has no at-now FIFO.
 The differential property test here replays random event storms (delays,
-futures resolved by timers, plain callbacks, mid-run spawns) on both
-kernels and asserts the full execution traces match.  The message storm
+futures resolved by timers, plain callbacks and the at-now re-entries they
+defer, mid-run spawns) on both kernels and asserts the full execution
+traces match.  The message storm
 runs the engines' dominant traffic shape on both stacks — the kernel with
 the coalescing :class:`Link`, the reference kernel with one event per
 message — and pins the same simulated outcome plus the coalescing ratio.
@@ -65,10 +66,16 @@ def _storm_trace(kernel_cls, seed: int, n_procs: int = 6, n_steps: int = 40):
                 value = yield fut
                 assert value == (pid, step)
             elif roll < 0.90:
-                # Fire-and-forget callback, then a short delay.
+                # Fire-and-forget callback that defers a follow-up to the
+                # end of its instant, then a short delay.
                 kernel.call_at(
                     kernel.now + r.choice(_DELAYS),
-                    lambda p=pid, s=step: trace.append(("cb", p, s, kernel.now)),
+                    lambda p=pid, s=step: (
+                        trace.append(("cb", p, s, kernel.now)),
+                        kernel.defer(
+                            lambda: trace.append(("deferred", p, s, kernel.now))
+                        ),
+                    ),
                 )
                 yield Delay(r.choice(_DELAYS))
             else:

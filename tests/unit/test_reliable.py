@@ -14,6 +14,7 @@ from repro.comm.message import Tag
 from repro.comm.mpi_sim import Network
 from repro.faults import FaultInjector, FaultPlan, FaultyLink, LinkFault
 from repro.metrics.collectors import MetricsCollector
+from oracles.blocking import recv
 
 
 def build(plan, n=2):
@@ -42,7 +43,7 @@ def test_retransmit_with_exponential_backoff_recovers():
         yield from ()
 
     def receiver():
-        msg = yield from net.endpoint(1).recv(0, Tag.DECODE)
+        msg = yield from recv(net.endpoint(1), 0, Tag.DECODE)
         got.append(msg.payload)
 
     run_to_completion(k, [k.spawn(sender()), k.spawn(receiver())])
@@ -71,7 +72,7 @@ def test_unrecoverable_link_raises_after_max_retries():
         yield from ()
 
     def receiver():
-        yield from net.endpoint(1).recv(0, Tag.DECODE)
+        yield from recv(net.endpoint(1), 0, Tag.DECODE)
 
     procs = [k.spawn(sender()), k.spawn(receiver())]
     with pytest.raises(SimError, match="unacknowledged after 3"):
@@ -97,7 +98,7 @@ def test_cumulative_ack_covers_stashed_successors():
     def receiver():
         ep = net.endpoint(1)
         for _ in range(3):
-            msg = yield from ep.recv(0, Tag.DECODE)
+            msg = yield from recv(ep, 0, Tag.DECODE)
             got.append(msg.payload)
 
     run_to_completion(k, [k.spawn(sender()), k.spawn(receiver())])
@@ -126,7 +127,7 @@ def test_lost_ack_triggers_duplicate_which_is_suppressed():
         from repro.cluster.kernel import Delay
 
         ep = net.endpoint(1)
-        msg = yield from ep.recv(0, Tag.DECODE)
+        msg = yield from recv(ep, 0, Tag.DECODE)
         got.append(msg.payload)
         # Idle long enough for any duplicate to arrive (and be dropped
         # before matching a receive: stale seqs never reach the mailbox).
@@ -147,7 +148,7 @@ def test_loopback_sends_bypass_the_transport():
     def selftalk():
         ep = net.endpoint(0)
         ep.send("self", 0, Tag.DECODE, nbytes=8)
-        msg = yield from ep.recv(0, Tag.DECODE)
+        msg = yield from recv(ep, 0, Tag.DECODE)
         got.append(msg.payload)
 
     run_to_completion(k, [k.spawn(selftalk())])

@@ -16,9 +16,9 @@ from repro.comm.payloads import ShutdownMsg
 from repro.comm.transactions import (
     START_NBYTES,
     TransactionType,
-    recv_piece,
     send_transaction,
 )
+from oracles.blocking import probe, recv
 from tests.integration.test_worker_protocol import decode_pieces, setup_worker
 
 PIECE_TAGS = (Tag.DECODE, Tag.CACHE_OP, Tag.FUSED, Tag.CONTROL)
@@ -29,7 +29,7 @@ def dispatch(ep):
     piece, then take the oldest announcement from that piece's sender."""
     piece = ep.peek(ANY_SOURCE, PIECE_TAGS)
     if piece is None:
-        piece = yield from ep.probe(ANY_SOURCE, PIECE_TAGS)
+        piece = yield from probe(ep, ANY_SOURCE, PIECE_TAGS)
     return piece.src, ep.take_announcement(piece.src)
 
 
@@ -54,7 +54,7 @@ def test_transactions_processed_in_start_order():
             src, ttype = yield from dispatch(ep)
             pieces = 2 if ttype == TransactionType.DECODE else 1
             for _ in range(pieces):
-                msg = yield from ep.recv(src, int(ttype))
+                msg = yield from recv(ep, src, int(ttype))
                 log.append((ttype, msg.payload, msg.delivered_at))
 
     procs = [k.spawn(sender()), k.spawn(receiver())]
@@ -85,9 +85,9 @@ def test_transaction_pieces_stay_with_their_start():
         ep = net.endpoint(1)
         for _ in range(4):
             src, ttype = yield from dispatch(ep)
-            m = yield from recv_piece(ep, src, ttype)
-            a = yield from recv_piece(ep, src, ttype)
-            seen.append((m, a))
+            m = yield from recv(ep, src, ttype)
+            a = yield from recv(ep, src, ttype)
+            seen.append((m.payload, a.payload))
 
     procs = [k.spawn(sender()), k.spawn(receiver())]
     run_to_completion(k, procs)
@@ -111,7 +111,7 @@ def _fusion_widths(second_after: float):
         act[0].nbytes = 4e6
         send_transaction(ep, 1, TransactionType.DECODE, [meta, (act[0], 4e6)])
         for _ in range(2):
-            yield from ep.recv(1, Tag.LOGITS)
+            yield from recv(ep, 1, Tag.LOGITS)
         send_transaction(ep, 1, TransactionType.SHUTDOWN, [(ShutdownMsg(), 8.0)],
                          eager=True)
 
@@ -153,7 +153,7 @@ def test_reset_after_crash_drops_announcements():
         ep = net.endpoint(1)
         yield Delay(2e-3)
         src, ttype = yield from dispatch(ep)
-        got.append((ttype, (yield from recv_piece(ep, src, ttype))))
+        got.append((ttype, (yield from recv(ep, src, ttype)).payload))
 
     run_to_completion(k, [k.spawn(sender()), k.spawn(receiver())])
     assert got == [(TransactionType.CACHE_OP, ["new-op"])]
