@@ -1,4 +1,4 @@
-"""Extension ablations beyond Figure 8.
+"""Extension ablations beyond Figure 8 (``experiments.fig8.run_sweeps``).
 
 - micro-batch size sweep (Section IV-B1 says 1-4),
 - cutoff recovery/decay factors (Section IV-B2's reactive speculation),
@@ -6,25 +6,12 @@
 """
 
 from benchmarks.conftest import run_once
-from repro.cluster.testbed import cluster_c
-from repro.engines.base import EngineConfig
-from repro.experiments.common import run_cell
+from repro.experiments.fig8 import run_sweeps
 from repro.util.tables import format_series
 
 
 def test_microbatch_sweep(benchmark, bench_scale):
-    def compute():
-        cluster = cluster_c(8)
-        return {
-            f"microbatch={mb}": [
-                run_cell("dolphin+tinyllama", "pipe", cluster, bench_scale,
-                         config=EngineConfig().ablated(microbatch_size=mb)
-                         ).generation_speed
-            ]
-            for mb in (1, 2, 4, 8)
-        }
-
-    series = run_once(benchmark, compute)
+    series = run_once(benchmark, lambda: run_sweeps(bench_scale))["microbatch"]
     print()
     print(format_series("", ["tokens/s"], series, title="Micro-batch sweep"))
     speeds = {k: v[0] for k, v in series.items()}
@@ -36,18 +23,7 @@ def test_microbatch_sweep(benchmark, bench_scale):
 
 
 def test_cutoff_factor_sweep(benchmark, bench_scale):
-    def compute():
-        cluster = cluster_c(8)
-        out = {}
-        for rec, dec in ((0.0, 0.0), (0.06, 0.03), (0.2, 0.1)):
-            cfg = EngineConfig().ablated(cutoff_recovery=rec, cutoff_decay=dec)
-            r = run_cell("goliath+xwin7b", "pipe", cluster, bench_scale, config=cfg)
-            out[f"recovery={rec}/decay={dec}"] = [
-                r.generation_speed, r.stats.dispatch_efficiency
-            ]
-        return out
-
-    series = run_once(benchmark, compute)
+    series = run_once(benchmark, lambda: run_sweeps(bench_scale))["cutoff"]
     print()
     print(format_series("", ["tokens/s", "dispatch eff."], series,
                         title="Reactive-cutoff sweep (Goliath, 52% acceptance)"))
@@ -62,33 +38,7 @@ def test_cutoff_factor_sweep(benchmark, bench_scale):
 
 def test_alignment_sweep(benchmark, bench_scale):
     """PipeInfer's near-zero slowdown at poor acceptance vs speculative."""
-
-    def compute():
-        from repro.engines.backend import OracleBackend
-        from repro.engines.base import GenerationJob, run_engine
-        from repro.core.engine import PipeInferEngine
-        from repro.engines.speculative import SpeculativeEngine
-        from repro.engines.iterative import IterativeEngine
-        from repro.models.zoo import get_pair
-        from repro.workloads.prompts import make_prompt
-
-        cluster = cluster_c(8)
-        pair = get_pair("dolphin+tinyllama")
-        job = GenerationJob(
-            make_prompt("wikitext", bench_scale.prompt_len, pair.target_arch.vocab),
-            bench_scale.n_generate,
-        )
-        out = {}
-        for acc in (0.15, 0.5, 0.85):
-            row = []
-            for eng in (IterativeEngine, SpeculativeEngine, PipeInferEngine):
-                be = OracleBackend(pair, head_node=cluster.nodes[0],
-                                   acceptance_override=acc)
-                row.append(run_engine(eng, be, cluster, job).generation_speed)
-            out[f"acceptance={acc}"] = row
-        return out
-
-    series = run_once(benchmark, compute)
+    series = run_once(benchmark, lambda: run_sweeps(bench_scale))["alignment"]
     print()
     print(format_series("strategy", ["iter", "spec", "pipe"], series,
                         title="Alignment sweep (8 nodes)", unit="tokens/s"))

@@ -3,29 +3,15 @@
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.cluster.testbed import cluster_c
-from repro.experiments.common import run_cell
-from repro.models.zoo import CPU_PAIRS
-from repro.util.tables import format_table
+from repro.experiments.acceptance import COLUMNS, run
+from repro.util.tables import format_series
 
 
 def test_acceptance_calibration(benchmark, bench_scale):
-    def compute():
-        cluster = cluster_c(8)
-        rows = {}
-        for key, pair in CPU_PAIRS.items():
-            r = run_cell(key, "spec", cluster, bench_scale)
-            rows[key] = (pair.acceptance, r.acceptance_rate)
-        return rows
-
-    rows = run_once(benchmark, compute)
+    rows = run_once(benchmark, lambda: run(bench_scale))
     print()
-    print(format_table(
-        ["pair", "paper", "measured"],
-        [[k, f"{a:.2%}", f"{m:.2%}"] for k, (a, m) in rows.items()],
-        title="Acceptance calibration",
-    ))
-    for key, (paper, measured) in rows.items():
+    print(format_series("pair", COLUMNS, rows, title="Acceptance calibration"))
+    for key, (paper, measured, _) in rows.items():
         assert measured == pytest.approx(paper, abs=0.09), key
     # Ordering between pairs is preserved.
     assert rows["goliath+xwin7b"][1] < rows["dolphin+tinyllama"][1]

@@ -1,24 +1,13 @@
 """Figure 4a: Dolphin-70B generation speeds (TinyLlama / Orca2 drafts)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.common import node_sweep
+from repro.experiments.common import PAPER_NODE_COUNTS as NODES
+from repro.experiments.fig4 import run
 from repro.util.tables import format_series
-
-NODES = (4, 8, 15, 32)
 
 
 def test_fig4a(benchmark, bench_scale):
-    def compute():
-        out = {}
-        iters = node_sweep("dolphin+tinyllama", ["iter"], "C", NODES, bench_scale)
-        out["Iter."] = [r.generation_speed for r in iters["iter"]]
-        for key, label in (("dolphin+tinyllama", "TinyLlama"), ("dolphin+orca2", "Orca2")):
-            grid = node_sweep(key, ["spec", "pipe"], "C", NODES, bench_scale)
-            out[f"Spec. ({label})"] = [r.generation_speed for r in grid["spec"]]
-            out[f"Pipe. ({label})"] = [r.generation_speed for r in grid["pipe"]]
-        return out
-
-    series = run_once(benchmark, compute)
+    series = run_once(benchmark, lambda: run("generation_speed", bench_scale))["4a: Dolphin-70B"]
     print()
     print(format_series("nodes", list(NODES), series,
                         title="Figure 4a — Dolphin-70B speeds", unit="tokens/s"))

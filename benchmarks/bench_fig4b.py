@@ -1,24 +1,13 @@
 """Figure 4b: Goliath-120B generation speeds (XWin-7B / XWin-13B drafts)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.common import node_sweep
+from repro.experiments.common import PAPER_NODE_COUNTS as NODES
+from repro.experiments.fig4 import run
 from repro.util.tables import format_series
-
-NODES = (4, 8, 15, 32)
 
 
 def test_fig4b(benchmark, bench_scale):
-    def compute():
-        out = {}
-        iters = node_sweep("goliath+xwin7b", ["iter"], "C", NODES, bench_scale)
-        out["Iter."] = [r.generation_speed for r in iters["iter"]]
-        for key, label in (("goliath+xwin7b", "XWin-7B"), ("goliath+xwin13b", "XWin-13B")):
-            grid = node_sweep(key, ["spec", "pipe"], "C", NODES, bench_scale)
-            out[f"Spec. ({label})"] = [r.generation_speed for r in grid["spec"]]
-            out[f"Pipe. ({label})"] = [r.generation_speed for r in grid["pipe"]]
-        return out
-
-    series = run_once(benchmark, compute)
+    series = run_once(benchmark, lambda: run("generation_speed", bench_scale))["4b: Goliath-120B"]
     print()
     print(format_series("nodes", list(NODES), series,
                         title="Figure 4b — Goliath-120B speeds", unit="tokens/s"))

@@ -1,24 +1,13 @@
 """Figure 4c: Falcon-180B generation speeds (Falcon-7B / Falcon-40B drafts)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.common import node_sweep
+from repro.experiments.common import PAPER_NODE_COUNTS as NODES
+from repro.experiments.fig4 import run
 from repro.util.tables import format_series
-
-NODES = (4, 8, 15, 32)
 
 
 def test_fig4c(benchmark, bench_scale):
-    def compute():
-        out = {}
-        iters = node_sweep("falcon+7b", ["iter"], "C", NODES, bench_scale)
-        out["Iter."] = [r.generation_speed for r in iters["iter"]]
-        for key, label in (("falcon+7b", "Falcon-7B"), ("falcon+40b", "Falcon-40B")):
-            grid = node_sweep(key, ["spec", "pipe"], "C", NODES, bench_scale)
-            out[f"Spec. ({label})"] = [r.generation_speed for r in grid["spec"]]
-            out[f"Pipe. ({label})"] = [r.generation_speed for r in grid["pipe"]]
-        return out
-
-    series = run_once(benchmark, compute)
+    series = run_once(benchmark, lambda: run("generation_speed", bench_scale))["4c: Falcon-180B"]
     print()
     print(format_series("nodes", list(NODES), series,
                         title="Figure 4c — Falcon-180B speeds", unit="tokens/s"))

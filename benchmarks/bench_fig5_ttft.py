@@ -1,31 +1,22 @@
-"""Figure 5: time-to-first-token latencies across node counts."""
+"""Figure 5: time-to-first-token latencies across node counts (Fig. 4's grid)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.common import node_sweep
+from repro.experiments.common import PAPER_NODE_COUNTS as NODES
+from repro.experiments.fig4 import SUBFIGURES, run
 from repro.util.tables import format_series
-
-NODES = (4, 8, 15, 32)
 
 
 def test_fig5_ttft(benchmark, bench_scale):
-    def compute():
-        out = {}
-        for key, label in (("dolphin+tinyllama", "Dolphin"),
-                           ("goliath+xwin7b", "Goliath"),
-                           ("falcon+7b", "Falcon")):
-            grid = node_sweep(key, ["iter", "spec", "pipe"], "C", NODES, bench_scale)
-            out[f"Iter. ({label})"] = [r.ttft for r in grid["iter"]]
-            out[f"Spec. ({label})"] = [r.ttft for r in grid["spec"]]
-            out[f"Pipe. ({label})"] = [r.ttft for r in grid["pipe"]]
-        return out
-
-    series = run_once(benchmark, compute)
+    figures = run_once(benchmark, lambda: run("ttft", bench_scale))
     print()
-    print(format_series("nodes", list(NODES), series,
-                        title="Figure 5 — TTFT", unit="seconds"))
+    for title, series in figures.items():
+        print(format_series("nodes", list(NODES), series,
+                            title=f"Figure 5 ({title}) — TTFT", unit="seconds"))
 
-    for label in ("Dolphin", "Goliath", "Falcon"):
+    # Each target's first (small-draft) pair: Dolphin, Goliath, Falcon.
+    for title, pairs in SUBFIGURES.items():
+        series, label = figures[title], pairs[0][1]
         for i in range(len(NODES)):
             # Near-parity with iterative; far below speculative.
-            assert series[f"Pipe. ({label})"][i] <= series[f"Iter. ({label})"][i] * 1.1
+            assert series[f"Pipe. ({label})"][i] <= series["Iter."][i] * 1.1
             assert series[f"Spec. ({label})"][i] > series[f"Pipe. ({label})"][i] * 1.3

@@ -1,41 +1,38 @@
-"""Figure 6: inter-token latencies across node counts."""
+"""Figure 6: inter-token latencies across node counts (Fig. 4's grid)."""
 
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.common import node_sweep
+from repro.experiments.common import PAPER_NODE_COUNTS as NODES
+from repro.experiments.fig4 import SUBFIGURES, run
 from repro.util.tables import format_series
 
-NODES = (4, 8, 15, 32)
+#: The Dolphin and Goliath subfigures.
+TITLES = ("4a: Dolphin-70B", "4b: Goliath-120B")
 
 
 def test_fig6_itl(benchmark, bench_scale):
-    def compute():
-        out = {}
-        for key, label in (("dolphin+tinyllama", "Dolphin"),
-                           ("goliath+xwin7b", "Goliath")):
-            grid = node_sweep(key, ["iter", "spec", "pipe"], "C", NODES, bench_scale)
-            for s, pretty in (("iter", "Iter."), ("spec", "Spec."), ("pipe", "Pipe.")):
-                out[f"{pretty} ({label})"] = [
-                    (r.itl, r.generation_speed) for r in grid[s]
-                ]
-        return out
-
-    raw = run_once(benchmark, compute)
-    series = {k: [itl for itl, _ in v] for k, v in raw.items()}
+    itl, speed = run_once(
+        benchmark, lambda: (run("itl", bench_scale), run("generation_speed", bench_scale))
+    )
     print()
-    print(format_series("nodes", list(NODES), series,
-                        title="Figure 6 — ITL", unit="seconds"))
+    for title in TITLES:
+        print(format_series("nodes", list(NODES), itl[title],
+                            title=f"Figure 6 ({title}) — ITL", unit="seconds"))
 
-    # The paper's check: ITL trends mirror generation speed.
-    for pairs in raw.values():
-        for itl, speed in pairs:
-            assert itl == pytest.approx(1.0 / speed, rel=0.15)
-    # PipeInfer has the lowest ITL at depth for both pairs.
-    for label in ("Dolphin", "Goliath"):
-        assert series[f"Pipe. ({label})"][1] < series[f"Spec. ({label})"][1]
-        assert series[f"Pipe. ({label})"][1] < series[f"Iter. ({label})"][1]
+    for title in TITLES:
+        label = SUBFIGURES[title][0][1]
+        names = ("Iter.", f"Spec. ({label})", f"Pipe. ({label})")
+        # The paper's check: ITL trends mirror generation speed.
+        for name in names:
+            for gap, tps in zip(itl[title][name], speed[title][name]):
+                assert gap == pytest.approx(1.0 / tps, rel=0.15)
+        # PipeInfer has the lowest ITL at depth for both pairs.
+        it, spec, pipe = (itl[title][name] for name in names)
+        assert pipe[1] < spec[1]
+        assert pipe[1] < it[1]
     # Well-aligned speculation beats iterative; at Goliath's 52% acceptance
     # the baseline's ITL sits at or above iterative (paper Fig. 4b shows
     # the same collapse).
-    assert series["Spec. (Dolphin)"][1] < series["Iter. (Dolphin)"][1]
+    dolphin = itl["4a: Dolphin-70B"]
+    assert dolphin["Spec. (TinyLlama)"][1] < dolphin["Iter."][1]

@@ -1,27 +1,14 @@
 """Figure 7a: memory efficiency (speed per GB, log scale in the paper)."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.common import node_sweep
+from repro.experiments.common import PAPER_NODE_COUNTS as NODES
+from repro.experiments.fig7 import run_7a
 from repro.util.tables import format_series
-
-NODES = (4, 8, 15, 32)
 
 
 def test_fig7a_memory_efficiency(benchmark, bench_scale):
-    def compute():
-        out = {}
-        grid = node_sweep("dolphin+tinyllama", ["iter", "spec", "pipe"], "C",
-                          NODES, bench_scale)
-        out["Iter. (Dolphin)"] = [r.speed_per_gb() for r in grid["iter"]]
-        out["Speculative"] = [r.speed_per_gb() for r in grid["spec"]]
-        out["PipeInfer"] = [r.speed_per_gb() for r in grid["pipe"]]
-        out["_mem"] = {
-            s: [r.mean_node_memory for r in grid[s]] for s in ("iter", "spec", "pipe")
-        }
-        return out
-
-    series = run_once(benchmark, compute)
-    mem = series.pop("_mem")
+    out = run_once(benchmark, lambda: run_7a(bench_scale))
+    series, mem = out["speed_per_gb"], out["mean_node_memory"]
     print()
     print(format_series("nodes", list(NODES), series,
                         title="Figure 7a — memory efficiency",
@@ -29,12 +16,12 @@ def test_fig7a_memory_efficiency(benchmark, bench_scale):
 
     # PipeInfer achieves the best speed-to-memory ratio of the three.
     for i in range(1, len(NODES)):
-        assert series["PipeInfer"][i] > series["Speculative"][i]
-        assert series["PipeInfer"][i] > series["Iter. (Dolphin)"][i]
+        assert series["PipeInfer (Dolphin)"][i] > series["Speculative (Dolphin)"][i]
+        assert series["PipeInfer (Dolphin)"][i] > series["Iter. (Dolphin)"][i]
     # Per-node memory shrinks as nodes are added; PipeInfer's equals the
     # speculative baseline's (both hold the draft model).
-    assert mem["pipe"][0] > mem["pipe"][-1]
-    for a, b in zip(mem["pipe"], mem["spec"]):
+    assert mem["PipeInfer (Dolphin)"][0] > mem["PipeInfer (Dolphin)"][-1]
+    for a, b in zip(mem["PipeInfer (Dolphin)"], mem["Speculative (Dolphin)"]):
         assert abs(a - b) / b < 0.3
     # Iterative stays leaner (no draft model).
-    assert mem["iter"][0] < mem["spec"][0]
+    assert mem["Iter. (Dolphin)"][0] < mem["Speculative (Dolphin)"][0]

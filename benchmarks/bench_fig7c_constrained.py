@@ -1,14 +1,14 @@
 """Figure 7c: generation speed on the constrained clusters A/B."""
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig7 import run_7c
+from repro.experiments.fig7 import CONSTRAINED_NODE_COUNTS, run_7c
 from repro.util.tables import format_series
 
 
 def test_fig7c_constrained_clusters(benchmark, bench_scale):
     series = run_once(benchmark, lambda: run_7c(bench_scale))
     print()
-    print(format_series("nodes", [4, 8, 13], series,
+    print(format_series("nodes", list(CONSTRAINED_NODE_COUNTS), series,
                         title="Figure 7c — constrained clusters", unit="tokens/s"))
 
     for family in ("Dolphin", "Goliath", "Falcon"):

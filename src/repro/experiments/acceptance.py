@@ -1,40 +1,35 @@
 """Acceptance-rate calibration check (paper Section V-B).
 
-Runs each CPU pair through the speculative and PipeInfer engines and
-compares the measured per-token acceptance against the rate the paper
-reports — the oracle pairs are calibrated so these coincide.
+Runs each CPU pair through the speculative and PipeInfer engines on 8
+nodes of cluster C and compares the measured per-token acceptance against
+the rate the paper reports — the oracle pairs are calibrated so these
+coincide.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.cluster.testbed import cluster_c
 from repro.experiments.common import ExperimentScale, run_cell
 from repro.models.zoo import CPU_PAIRS
-from repro.util.tables import format_table
+from repro.util.tables import format_series
+
+#: The columns of each pair's row in :func:`run`.
+COLUMNS = ["paper", "measured (spec)", "measured (pipeinfer)"]
 
 
-def run(scale: Optional[ExperimentScale] = None) -> List[List[object]]:
-    cluster = cluster_c(8)
-    rows = []
-    for key, pair in CPU_PAIRS.items():
-        spec = run_cell(key, "spec", cluster, scale)
-        pipe = run_cell(key, "pipe", cluster, scale)
-        rows.append([
-            pair.label,
-            f"{pair.acceptance:.2%}",
-            f"{spec.acceptance_rate:.2%}",
-            f"{pipe.acceptance_rate:.2%}",
-        ])
-    return rows
+def run(scale: Optional[ExperimentScale] = None) -> Dict[str, List[float]]:
+    """pair key -> [paper rate, speculative's measured, PipeInfer's measured]."""
+    return {
+        key: [pair.acceptance]
+        + [run_cell(key, s, "C", 8, scale).acceptance_rate for s in ("spec", "pipe")]
+        for key, pair in CPU_PAIRS.items()
+    }
 
 
 def main() -> None:
-    print(format_table(
-        ["pair", "paper", "measured (spec)", "measured (pipeinfer)"],
-        run(), title="Acceptance-rate calibration",
-    ))
+    print(format_series("pair", COLUMNS, run(),
+                        title="Acceptance-rate calibration"))
 
 
 if __name__ == "__main__":

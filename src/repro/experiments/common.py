@@ -1,13 +1,13 @@
-"""Shared experiment machinery: cells, sweeps, scale control."""
+"""Shared experiment machinery: cells, scale control."""
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 from repro.cluster.testbed import make_testbed
-from repro.cluster.topology import Cluster
 from repro.core.engine import PipeInferEngine
 from repro.engines.backend import OracleBackend
 from repro.engines.base import EngineConfig, GenerationJob, run_engine
@@ -45,23 +45,34 @@ def scale_from_env() -> ExperimentScale:
 def run_cell(
     pair_key: str,
     strategy: str,
-    cluster: Cluster,
+    testbed: str,
+    n_nodes: int,
     scale: Optional[ExperimentScale] = None,
     config: Optional[EngineConfig] = None,
     prompt_kind: str = "wikitext",
-    acceptance_delta: float = 0.0,
+    acceptance: Optional[float] = None,
 ) -> EngineReport:
-    """One experiment cell: (model pair, strategy, cluster), averaged.
+    """One experiment cell: (model pair, strategy, testbed size), averaged.
 
-    Repetitions vary the oracle seed, mimicking the paper's 10 averaged
-    runs; the simulation itself is deterministic per seed.
+    ``acceptance`` overrides the pair's calibrated per-token rate (clamped
+    to [0.01, 0.99]).  Repetitions vary the oracle seed, mimicking the
+    paper's 10 averaged runs; the simulation itself is deterministic per
+    seed.  So each cell is computed once per process, under a normalised
+    key (scale resolved from the environment, ``None`` as the default
+    config, the clamped rate), and its callers share one read-only report.
     """
-    scale = scale or scale_from_env()
+    if acceptance is None:
+        acceptance = get_pair(pair_key).acceptance
+    return _cell(pair_key, strategy, testbed, n_nodes, scale or scale_from_env(),
+                 config or EngineConfig(), prompt_kind, min(max(acceptance, 0.01), 0.99))
+
+
+@functools.cache
+def _cell(pair_key, strategy, testbed, n_nodes, scale, config, prompt_kind, acceptance):
     pair = get_pair(pair_key)
-    engine = ENGINES[strategy]
+    cluster = make_testbed(testbed, n_nodes)
     prompt = make_prompt(prompt_kind, scale.prompt_len, pair.target_arch.vocab)
     job = GenerationJob(prompt=prompt, n_generate=scale.n_generate)
-    acceptance = min(max(pair.acceptance + acceptance_delta, 0.01), 0.99)
     reports = []
     for rep in range(scale.reps):
         backend = OracleBackend(
@@ -70,25 +81,8 @@ def run_cell(
             seed=rep * 1013,
             acceptance_override=acceptance,
         )
-        reports.append(run_engine(engine, backend, cluster, job, config))
+        reports.append(run_engine(ENGINES[strategy], backend, cluster, job, config))
     return aggregate(reports)
-
-
-def node_sweep(
-    pair_key: str,
-    strategies: Sequence[str],
-    testbed: str,
-    node_counts: Sequence[int],
-    scale: Optional[ExperimentScale] = None,
-    config: Optional[EngineConfig] = None,
-) -> Dict[str, List[EngineReport]]:
-    """Run a strategies x node-count grid on one testbed (Figures 4-6)."""
-    out: Dict[str, List[EngineReport]] = {s: [] for s in strategies}
-    for n in node_counts:
-        cluster = make_testbed(testbed, n)
-        for s in strategies:
-            out[s].append(run_cell(pair_key, s, cluster, scale, config))
-    return out
 
 
 #: Node counts used by the paper's cluster-C sweeps.

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cluster.testbed import gpu_testbed
 from repro.experiments.common import ExperimentScale, run_cell
+from repro.models.zoo import get_pair
 from repro.util.tables import format_series
 from repro.workloads.prompts import PROMPT_CLASSES
 
@@ -20,19 +20,16 @@ PAIR = "senku+tinyllama"
 
 
 def run(scale: Optional[ExperimentScale] = None) -> Dict[str, List[float]]:
-    cluster = gpu_testbed()
-    series: Dict[str, List[float]] = {"PipeInfer": [], "Speculative": []}
-    for kind in FIG10_PROMPTS:
-        delta = PROMPT_CLASSES[kind].acceptance_delta
-        series["PipeInfer"].append(
-            run_cell(PAIR, "pipe", cluster, scale,
-                     prompt_kind=kind, acceptance_delta=delta).generation_speed
-        )
-        series["Speculative"].append(
-            run_cell(PAIR, "spec", cluster, scale,
-                     prompt_kind=kind, acceptance_delta=delta).generation_speed
-        )
-    return series
+    base = get_pair(PAIR).acceptance
+    return {
+        label: [
+            run_cell(PAIR, strategy, "gpu", 4, scale, prompt_kind=kind,
+                     acceptance=base + PROMPT_CLASSES[kind].acceptance_delta
+                     ).generation_speed
+            for kind in FIG10_PROMPTS
+        ]
+        for strategy, label in (("pipe", "PipeInfer"), ("spec", "Speculative"))
+    }
 
 
 def variance_ratio(series: Dict[str, List[float]]) -> Dict[str, float]:

@@ -1,4 +1,4 @@
-"""Figure 4: generation speed of model pairs across node counts.
+"""Figures 4, 5 and 6: one grid of model pairs across node counts.
 
 Three subfigures on cluster C, node counts {4, 8, 15, 32}:
 
@@ -6,18 +6,16 @@ Three subfigures on cluster C, node counts {4, 8, 15, 32}:
 - (b) Goliath-120B with XWin-7B / XWin-13B drafts,
 - (c) Falcon-180B with Falcon-7B / Falcon-40B drafts,
 
-each comparing iterative, speculative, and PipeInfer inference.
+each comparing iterative, speculative, and PipeInfer inference.  Figure 4
+plots the grid's generation speed, Figure 5 its time to first token and
+Figure 6 its inter-token latency.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.common import (
-    ExperimentScale,
-    PAPER_NODE_COUNTS,
-    node_sweep,
-)
+from repro.experiments.common import ExperimentScale, PAPER_NODE_COUNTS, run_cell
 from repro.util.tables import format_series
 
 #: Subfigure -> [(pair key, legend suffix), ...]
@@ -27,33 +25,43 @@ SUBFIGURES: Dict[str, List[Tuple[str, str]]] = {
     "4c: Falcon-180B": [("falcon+7b", "Falcon-7B"), ("falcon+40b", "Falcon-40B")],
 }
 
+#: Figure -> (report metric, unit) read off the one grid.
+METRICS = {
+    "4": ("generation_speed", "tokens/s"),
+    "5": ("ttft", "seconds"),
+    "6": ("itl", "seconds"),
+}
+
 
 def run(
     metric: str = "generation_speed",
     scale: Optional[ExperimentScale] = None,
-    node_counts=PAPER_NODE_COUNTS,
 ) -> Dict[str, Dict[str, List[float]]]:
-    """Compute every subfigure's series; shared by Figures 4, 5 and 6."""
+    """Every subfigure's series of one metric; Figures 4, 5 and 6."""
+
+    def sweep(pair_key: str, strategy: str) -> List[float]:
+        return [
+            getattr(run_cell(pair_key, strategy, "C", n, scale), metric)
+            for n in PAPER_NODE_COUNTS
+        ]
+
     figures: Dict[str, Dict[str, List[float]]] = {}
     for title, pairs in SUBFIGURES.items():
-        series: Dict[str, List[float]] = {}
-        first_key = pairs[0][0]
-        iters = node_sweep(first_key, ["iter"], "C", node_counts, scale)["iter"]
-        series["Iter."] = [getattr(r, metric) for r in iters]
+        series = {"Iter.": sweep(pairs[0][0], "iter")}
         for pair_key, label in pairs:
-            grid = node_sweep(pair_key, ["spec", "pipe"], "C", node_counts, scale)
-            series[f"Spec. ({label})"] = [getattr(r, metric) for r in grid["spec"]]
-            series[f"Pipe. ({label})"] = [getattr(r, metric) for r in grid["pipe"]]
+            series[f"Spec. ({label})"] = sweep(pair_key, "spec")
+            series[f"Pipe. ({label})"] = sweep(pair_key, "pipe")
         figures[title] = series
     return figures
 
 
-def main(metric: str = "generation_speed", unit: str = "tokens/s") -> None:
-    figures = run(metric)
-    for title, series in figures.items():
-        print(format_series("nodes", list(PAPER_NODE_COUNTS), series,
-                            title=f"Figure {title} — {metric}", unit=unit))
-        print()
+def main() -> None:
+    for figure, (metric, unit) in METRICS.items():
+        for title, series in run(metric).items():
+            print(format_series("nodes", list(PAPER_NODE_COUNTS), series,
+                                title=f"Figure {figure} ({title}) — {metric}",
+                                unit=unit))
+            print()
 
 
 if __name__ == "__main__":

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cluster.testbed import cluster_a, cluster_b
-from repro.experiments.common import (
-    ExperimentScale,
-    PAPER_NODE_COUNTS,
-    node_sweep,
-    run_cell,
-)
+from repro.experiments.common import ExperimentScale, PAPER_NODE_COUNTS, run_cell
 from repro.util.tables import format_series
 
 #: The representative pair per target family (small draft, as in Fig. 7c).
@@ -27,27 +21,32 @@ FAMILY_PAIRS = {
     "Falcon": "falcon+7b",
 }
 
+#: Figure 7c's node counts: cluster A up to 8, cluster B's 13 beyond.
+CONSTRAINED_NODE_COUNTS = (4, 8, 13)
 
-def run_7a(scale: Optional[ExperimentScale] = None) -> Dict[str, List[float]]:
-    """Speed-per-GB series per strategy and family, across cluster C sizes."""
-    series: Dict[str, List[float]] = {}
+
+def run_7a(scale: Optional[ExperimentScale] = None) -> Dict[str, Dict[str, List[float]]]:
+    """Speed per GB and mean per-node memory, per strategy and family,
+    across cluster C sizes: metric -> series."""
+    out: Dict[str, Dict[str, List[float]]] = {"speed_per_gb": {}, "mean_node_memory": {}}
     for family, pair_key in FAMILY_PAIRS.items():
-        grid = node_sweep(pair_key, ["iter", "spec", "pipe"], "C",
-                          PAPER_NODE_COUNTS, scale)
-        series[f"Iter. ({family})"] = [r.speed_per_gb() for r in grid["iter"]]
-        series[f"Speculative ({family})"] = [r.speed_per_gb() for r in grid["spec"]]
-        series[f"PipeInfer ({family})"] = [r.speed_per_gb() for r in grid["pipe"]]
-    return series
+        for strategy, label in (("iter", "Iter."), ("spec", "Speculative"),
+                                ("pipe", "PipeInfer")):
+            cells = [run_cell(pair_key, strategy, "C", n, scale) for n in PAPER_NODE_COUNTS]
+            out["speed_per_gb"][f"{label} ({family})"] = [r.speed_per_gb() for r in cells]
+            out["mean_node_memory"][f"{label} ({family})"] = [
+                r.mean_node_memory for r in cells
+            ]
+    return out
 
 
 def run_7b(scale: Optional[ExperimentScale] = None) -> Dict[str, List[float]]:
     """TTFT on cluster A (8 nodes) per family and strategy."""
     series: Dict[str, List[float]] = {"Iterative": [], "Speculative": [], "PipeInfer": []}
     for pair_key in FAMILY_PAIRS.values():
-        cluster = cluster_a(8)
-        series["Iterative"].append(run_cell(pair_key, "iter", cluster, scale).ttft)
-        series["Speculative"].append(run_cell(pair_key, "spec", cluster, scale).ttft)
-        series["PipeInfer"].append(run_cell(pair_key, "pipe", cluster, scale).ttft)
+        for strategy, label in (("iter", "Iterative"), ("spec", "Speculative"),
+                                ("pipe", "PipeInfer")):
+            series[label].append(run_cell(pair_key, strategy, "A", 8, scale).ttft)
     return series
 
 
@@ -60,24 +59,22 @@ def run_7c(scale: Optional[ExperimentScale] = None) -> Dict[str, List[float]]:
     series: Dict[str, List[float]] = {}
     for family, pair_key in FAMILY_PAIRS.items():
         for strategy, label in (("iter", "Iter."), ("spec", "Spec."), ("pipe", "Pipe.")):
-            values = []
-            for n in (4, 8, 13):
-                cluster = cluster_a(n) if n <= 8 else cluster_b(n)
-                values.append(
-                    run_cell(pair_key, strategy, cluster, scale).generation_speed
-                )
-            series[f"{label} ({family})"] = values
+            series[f"{label} ({family})"] = [
+                run_cell(pair_key, strategy, "A" if n <= 8 else "B", n,
+                         scale).generation_speed
+                for n in CONSTRAINED_NODE_COUNTS
+            ]
     return series
 
 
 def main() -> None:
-    print(format_series("nodes", list(PAPER_NODE_COUNTS), run_7a(),
+    print(format_series("nodes", list(PAPER_NODE_COUNTS), run_7a()["speed_per_gb"],
                         title="Figure 7a — memory efficiency", unit="tokens/s per GB"))
     print()
     print(format_series("model", list(FAMILY_PAIRS), run_7b(),
                         title="Figure 7b — TTFT on cluster A", unit="seconds"))
     print()
-    print(format_series("nodes", [4, 8, 13], run_7c(),
+    print(format_series("nodes", list(CONSTRAINED_NODE_COUNTS), run_7c(),
                         title="Figure 7c — constrained clusters", unit="tokens/s"))
 
 

@@ -10,23 +10,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cluster.testbed import gpu_testbed
 from repro.experiments.common import ExperimentScale, run_cell
 from repro.models.zoo import GPU_PAIRS
 from repro.util.tables import format_series
 
 
 def run(scale: Optional[ExperimentScale] = None) -> Dict[str, List[float]]:
-    cluster = gpu_testbed()
-    series: Dict[str, List[float]] = {"PipeInfer": [], "Speculative": []}
-    for key in GPU_PAIRS:
-        series["PipeInfer"].append(
-            run_cell(key, "pipe", cluster, scale).generation_speed
-        )
-        series["Speculative"].append(
-            run_cell(key, "spec", cluster, scale).generation_speed
-        )
-    return series
+    return {
+        label: [run_cell(key, strategy, "gpu", 4, scale).generation_speed
+                for key in GPU_PAIRS]
+        for strategy, label in (("pipe", "PipeInfer"), ("spec", "Speculative"))
+    }
 
 
 def main() -> None:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.metrics.collectors import MetricsCollector
-from repro.metrics.report import EngineReport, aggregate
+from repro.metrics.collectors import MetricsCollector, RunStats
+from repro.metrics.report import EngineReport, RequestReport, ServingReport, aggregate
 
 
 def collector_with_tokens(prefill_end, times):
@@ -105,6 +105,20 @@ class TestReports:
     def test_aggregate_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+
+class TestServingReport:
+    def test_throughput_over_a_sub_second_makespan(self):
+        """A stream that finishes within one simulated second still has a
+        rate: tokens over makespan, not zero."""
+        reqs = [
+            RequestReport(0, [1, 2, 3], 0.0, 0.0, 0.2, 0.5, [0.1, 0.2], RunStats()),
+            RequestReport(1, [4], 0.1, 0.5, 0.6, 0.8, [], RunStats()),
+        ]
+        report = ServingReport.from_requests("pipeinfer", 4, reqs)
+        assert report.makespan == pytest.approx(0.8)
+        assert report.throughput == pytest.approx(5.0)
+        assert report.goodput == pytest.approx(5.0)
 
 
 class TestDraftBatchHistogram:
